@@ -117,11 +117,11 @@ class SparseArena final : public ArenaBackend
   protected:
     /**
      * First write into an implicit chunk, reached from tryPlace /
-     * write-back under the chunk once-latch. The allocation is
-     * deliberate hot-path work: its trigger is the public heap node
-     * index the server already observes (file comment / DESIGN.md
-     * Sec. 12), it happens at most once per chunk, and the
-     * alternative - eager allocation - is exactly the dense backend.
+     * write-back. The allocation is deliberate hot-path work: its
+     * trigger is the public heap node index the server already
+     * observes (file comment / DESIGN.md Sec. 12), it happens at most
+     * once per chunk, and the alternative - eager allocation - is
+     * exactly the dense backend.
      */
     PRORAM_HOT Lanes provideChunk(std::uint64_t chunk) override
     {
@@ -307,10 +307,6 @@ ArenaBackend::ArenaBackend(std::uint64_t num_buckets, std::uint32_t z,
     numChunks_ = (num_buckets + chunk_buckets - 1) / chunk_buckets;
     chunkBytes_ = chunkLayout(chunkSlots(), chunkBuckets_).totalBytes;
     chunks_ = std::make_unique<Chunk[]>(numChunks_);
-    // std::array members default-construct unranked; rank them before
-    // the backend sees any traffic (we are still in the ctor).
-    for (auto &latch : latches_)
-        latch.setRank(lock_order::Rank::Leaf);
 }
 
 ArenaBackend::~ArenaBackend() = default;
@@ -321,19 +317,12 @@ ArenaBackend::materialize(std::uint64_t chunk)
     Lanes existing = lanes(chunk);
     if (existing.ids != nullptr)
         return existing;
-    return materializeLocked(chunk, true);
+    return materializeFresh(chunk, true);
 }
 
 ArenaBackend::Lanes
-ArenaBackend::materializeLocked(std::uint64_t chunk, bool trace)
+ArenaBackend::materializeFresh(std::uint64_t chunk, bool trace)
 {
-    const util::ScopedLock latch(latches_[chunk % kLatchStripes]);
-    // Double-check under the latch: a racing first-touch may have
-    // published while we waited.
-    Lanes existing = lanes(chunk);
-    if (existing.ids != nullptr)
-        return existing;
-
     Lanes fresh = provideChunk(chunk);
     // All-dummy fill: id lane to the (non-zero) kInvalidBlock
     // sentinel, free lane to z. The payload lane stays unwritten -
@@ -344,17 +333,8 @@ ArenaBackend::materializeLocked(std::uint64_t chunk, bool trace)
     std::uninitialized_fill_n(fresh.ids, chunkSlots(), kInvalidBlock);
     std::uninitialized_fill_n(fresh.free, chunkBuckets_, z_);
 
-    Chunk &c = chunks_[chunk];
-    c.data = fresh.data;
-    c.free = fresh.free;
-    // Publication point: the release store of the id pointer is what
-    // makes the plain data/free stores above and the lane fills
-    // visible to any thread whose view()/lanes() acquire-load observes
-    // non-null ids. Storing ids last is load-bearing.
-    c.ids.store(fresh.ids, std::memory_order_release);
-    // Telemetry counter only (chunksMaterialized() snapshots): relaxed
-    // is enough, nothing is ordered against it.
-    chunksMaterialized_.fetch_add(1, std::memory_order_relaxed);
+    chunks_[chunk] = Chunk{fresh.ids, fresh.data, fresh.free};
+    ++chunksMaterialized_;
     if (trace)
         PRORAM_TRACE_EVENT("arena", "materialize", "chunk", chunk);
     return fresh;
@@ -364,7 +344,7 @@ void
 ArenaBackend::materializeAll()
 {
     for (std::uint64_t c = 0; c < numChunks_; ++c)
-        materializeLocked(c, false);
+        materializeFresh(c, false);
     PRORAM_TRACE_EVENT("arena", "materializeAll", "chunks",
                        numChunks_);
 }

@@ -1,161 +1,65 @@
 /**
  * @file
- * Capability-annotated mutex and scoped lock for the concurrent core.
+ * Capability-annotated mutex and scoped lock for util::ThreadPool.
  *
  * std::mutex and std::unique_lock are invisible to clang's Thread
- * Safety Analysis (libstdc++ ships them unannotated), so every lock
- * in the meta < node < stash-shard hierarchy is a util::Mutex - a
- * PRORAM_CAPABILITY wrapper - and every hold is a util::ScopedLock -
- * a PRORAM_SCOPED_CAPABILITY RAII guard the analysis can track, even
- * when returned by value from an ACQUIRE-annotated lock factory
- * (Stash::lockShard, SubtreeCache::lockNode).
- *
- * The wrapper also feeds the Debug-build runtime checker: a Mutex
- * constructed with a lock_order::Rank reports acquisition/release to
- * the thread-local tracker in util/lock_order.hh, which asserts the
- * hierarchy on every lock when PRORAM_LOCK_ORDER_CHECKS is on. In
- * Release both layers compile to exactly the std::mutex operations.
+ * Safety Analysis (libstdc++ ships them unannotated), so the pool's
+ * queue lock is a util::Mutex - a PRORAM_CAPABILITY wrapper - and
+ * every hold is a util::ScopedLock - a PRORAM_SCOPED_CAPABILITY RAII
+ * guard the analysis can track against the PRORAM_GUARDED_BY members.
+ * Both compile to exactly the std::mutex operations.
  *
  * Condition-variable waits need the native std::mutex handle
  * (std::condition_variable::wait takes std::unique_lock<std::mutex>);
- * those few sites use native() plus lock_order::ScopedRank and are
- * marked PRORAM_NO_THREAD_SAFETY_ANALYSIS with a why-comment.
+ * that one site uses native() and is marked
+ * PRORAM_NO_THREAD_SAFETY_ANALYSIS with a why-comment.
  */
 
 #ifndef PRORAM_UTIL_MUTEX_HH
 #define PRORAM_UTIL_MUTEX_HH
 
-#include <atomic>
-#include <cstdint>
 #include <mutex>
 
 #include "util/annotations.hh"
-#include "util/lock_order.hh"
 
 namespace proram::util
 {
 
-/** Lockable capability: std::mutex plus an optional hierarchy rank. */
+/** Lockable capability wrapping std::mutex. */
 class PRORAM_CAPABILITY("mutex") Mutex
 {
   public:
     Mutex() = default;
-    explicit Mutex(lock_order::Rank rank) : rank_(rank) {}
 
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 
-    void lock() PRORAM_ACQUIRE()
-    {
-        mtx_.lock();
-        lock_order::onAcquire(rank_);
-    }
-    /** @return true iff the lock was taken. Rank-checked like lock():
-     *  a try-acquire that would violate the order still trips the
-     *  checker when it succeeds. */
-    bool try_lock() PRORAM_TRY_ACQUIRE(true)
-    {
-        if (!mtx_.try_lock())
-            return false;
-        lock_order::onAcquire(rank_);
-        return true;
-    }
-    void unlock() PRORAM_RELEASE()
-    {
-        lock_order::onRelease(rank_);
-        mtx_.unlock();
-    }
+    void lock() PRORAM_ACQUIRE() { mtx_.lock(); }
+    void unlock() PRORAM_RELEASE() { mtx_.unlock(); }
 
-    /** Underlying std::mutex, for condition-variable waits only. The
-     *  caller owns the rank bookkeeping (lock_order::ScopedRank). */
+    /** Underlying std::mutex, for condition-variable waits only. */
     std::mutex &native() { return mtx_; }
-
-    /** Assign the hierarchy rank after default construction (array
-     *  members: make_unique<Mutex[]> cannot pass a ctor argument).
-     *  Must happen before the mutex sees concurrent traffic. */
-    void setRank(lock_order::Rank rank) { rank_ = rank; }
-
-    lock_order::Rank rank() const { return rank_; }
 
   private:
     std::mutex mtx_;
-    lock_order::Rank rank_ = lock_order::Rank::kUnranked;
 };
 
-/**
- * RAII hold on a util::Mutex. Movable and default-constructible so
- * lock factories can return it by value and serial-mode callers can
- * carry an empty (no-op) instance; clang's analysis tracks the
- * capability through the by-value return of an ACQUIRE-annotated
- * factory, which is what makes the factories checkable at call sites.
- */
+/** RAII hold on a util::Mutex for the lifetime of the object. */
 class PRORAM_SCOPED_CAPABILITY ScopedLock
 {
   public:
-    /** Empty hold: owns nothing, destructor is a no-op. */
-    ScopedLock() = default;
-
-    /** Lock @p m for the lifetime of this object. */
     explicit ScopedLock(Mutex &m) PRORAM_ACQUIRE(m) : mtx_(&m)
     {
         m.lock();
     }
 
-    /**
-     * Contention-counting variant: one try_lock, then a blocking
-     * lock that bumps @p contended on failure - the lockShardFast /
-     * lockNodeFast idiom (relaxed: observability counter only).
-     */
-    ScopedLock(Mutex &m, std::atomic<std::uint64_t> &contended)
-        PRORAM_ACQUIRE(m)
-        : mtx_(&m)
-    {
-        if (!m.try_lock()) {
-            contended.fetch_add(1, std::memory_order_relaxed);
-            m.lock();
-        }
-    }
-
-    // Move-only plumbing. The analysis does not model moves of scoped
-    // capabilities; the few call sites that need them (conditional
-    // locking in dual serial/concurrent paths) are structured so the
-    // capability state stays correct per scope.
-    ScopedLock(ScopedLock &&other) noexcept : mtx_(other.mtx_)
-    {
-        other.mtx_ = nullptr;
-    }
-    ScopedLock &operator=(ScopedLock &&other) noexcept
-    {
-        if (this != &other) {
-            if (mtx_ != nullptr)
-                mtx_->unlock();
-            mtx_ = other.mtx_;
-            other.mtx_ = nullptr;
-        }
-        return *this;
-    }
     ScopedLock(const ScopedLock &) = delete;
     ScopedLock &operator=(const ScopedLock &) = delete;
 
-    /** Release early (no-op when empty). */
-    void unlock() PRORAM_RELEASE()
-    {
-        if (mtx_ != nullptr) {
-            mtx_->unlock();
-            mtx_ = nullptr;
-        }
-    }
-
-    bool owns() const { return mtx_ != nullptr; }
-
-    ~ScopedLock() PRORAM_RELEASE()
-    {
-        if (mtx_ != nullptr)
-            mtx_->unlock();
-    }
+    ~ScopedLock() PRORAM_RELEASE() { mtx_->unlock(); }
 
   private:
-    Mutex *mtx_ = nullptr;
+    Mutex *const mtx_;
 };
 
 } // namespace proram::util

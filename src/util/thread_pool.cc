@@ -36,15 +36,13 @@ ThreadPool::enqueue(std::function<void()> job)
 }
 
 // Thread-safety escape: the condition-variable wait needs the native
-// std::mutex handle and releases/reacquires it invisibly. The rank
-// tracker still sees the hold via ScopedRank.
+// std::mutex handle and releases/reacquires it invisibly.
 void
 ThreadPool::workerLoop() PRORAM_NO_THREAD_SAFETY_ANALYSIS
 {
     for (;;) {
         std::function<void()> job;
         {
-            const lock_order::ScopedRank rank(lock_order::Rank::Leaf);
             std::unique_lock<std::mutex> lock(mutex_.native());
             cv_.wait(lock,
                      [this] { return stopping_ || !queue_.empty(); });

@@ -77,9 +77,7 @@ class ThreadPool
     void enqueue(std::function<void()> job) PRORAM_EXCLUDES(mutex_);
     void workerLoop();
 
-    /** Leaf rank: pool jobs acquire their own locks only after the
-     *  queue lock is released. */
-    util::Mutex mutex_{lock_order::Rank::Leaf};
+    util::Mutex mutex_;
     std::condition_variable cv_;
     std::deque<std::function<void()>> queue_ PRORAM_GUARDED_BY(mutex_);
     bool stopping_ PRORAM_GUARDED_BY(mutex_) = false;

@@ -1,13 +1,13 @@
 /**
  * @file
- * Scheme-interface conformance (DESIGN.md §14): every OramScheme
+ * Scheme-interface conformance (DESIGN.md §13): every OramScheme
  * implementation must satisfy the same controller-visible contract.
- * The grid drives both protocols through the full pipelined
- * controller at several worker counts with the dedup window on and
- * off, and requires trace-order payload semantics plus the structural
- * invariants after any interleaving. The schemes legitimately differ
- * in path counts and timing; they must NOT differ in what a request
- * observes.
+ * The grid drives both protocols through the serial queue drive
+ * (System::runQueue) under the baseline and dynamic super-block
+ * policies, with and without periodic (Oint) timing, and requires
+ * trace-order payload semantics plus the structural invariants. The
+ * schemes legitimately differ in path counts and timing; they must
+ * NOT differ in what a request observes.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <tuple>
 #include <vector>
 
-#include "cpu/request_batch.hh"
 #include "oram/integrity.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -87,63 +86,91 @@ expectIntact(System &sys, const std::string &label)
 
 class SchemeConformance
     : public ::testing::TestWithParam<
-          std::tuple<SchemeKind, unsigned, int>>
+          std::tuple<SchemeKind, MemScheme, bool>>
 {
 };
 
 TEST_P(SchemeConformance, PayloadsMatchTraceOrderAndTreeStaysIntact)
 {
-    const auto [kind, workers, window] = GetParam();
+    const auto [kind, scheme, periodic] = GetParam();
+    const std::string label = std::string(schemeKindName(kind)) + "_" +
+                              schemeName(scheme) +
+                              (periodic ? "_oint100" : "");
     const std::vector<TraceRecord> records =
         makeTrace(1200, 1ULL << 12, 0x5C4E3E);
 
     SystemConfig cfg = smallConfig(kind);
-    cfg.scheme = MemScheme::OramDynamic;
-    cfg.workers = workers;
-    cfg.controller.dedupWindow = window;
+    cfg.scheme = scheme;
+    cfg.controller.periodic.enabled = periodic;
+    cfg.controller.periodic.oInt = Cycles{100};
     System sys(cfg);
     std::vector<std::uint64_t> payloads;
     const SimResult res = sys.runQueue(records, &payloads);
 
     EXPECT_EQ(res.references, records.size());
     EXPECT_GT(res.cycles, Cycles{0});
-    EXPECT_EQ(payloads, expectedPayloads(records));
-    expectIntact(sys, std::string(schemeKindName(kind)) + "_w" +
-                          std::to_string(workers));
+    const std::vector<std::uint64_t> expect = expectedPayloads(records);
+    EXPECT_EQ(payloads, expect) << label;
+
+    // Idle time: a periodic controller fills every elapsed slot with a
+    // dummy access (Path: a random path, Ring: a scheduled eviction).
+    // Dummies remap nothing, so reading every touched block back must
+    // return its last written value.
+    OramController &ctl = *sys.controller();
+    constexpr std::uint64_t kIdleSlots = 64;
+    ctl.finalize(ctl.busyUntil() +
+                 kIdleSlots * ctl.scheduler().period());
+    if (periodic) {
+        EXPECT_GE(ctl.stats().periodicDummies, kIdleSlots) << label;
+    }
+    // A block's last access observed its final value.
+    std::vector<TraceRecord> readback;
+    std::vector<std::uint64_t> final_values;
+    std::vector<bool> seen(1ULL << 12, false);
+    for (std::size_t i = records.size(); i-- > 0;) {
+        const std::uint64_t block = records[i].addr / kLineBytes;
+        if (seen[block])
+            continue;
+        seen[block] = true;
+        TraceRecord rec;
+        rec.addr = records[i].addr;
+        readback.push_back(rec);
+        final_values.push_back(expect[i]);
+    }
+    std::vector<std::uint64_t> after;
+    sys.runQueue(readback, &after);
+    EXPECT_EQ(after, final_values) << label;
+    expectIntact(sys, label);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SchemeConformance,
     ::testing::Combine(::testing::Values(SchemeKind::Path,
                                          SchemeKind::Ring),
-                       ::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(0, 1)),
+                       ::testing::Values(MemScheme::OramBaseline,
+                                         MemScheme::OramDynamic),
+                       ::testing::Bool()),
     [](const auto &info) {
         return std::string(schemeKindName(std::get<0>(info.param))) +
-               "_w" + std::to_string(std::get<1>(info.param)) +
-               "_win" + std::to_string(std::get<2>(info.param));
+               "_" + schemeName(std::get<1>(info.param)) +
+               (std::get<2>(info.param) ? "_oint100" : "");
     });
 
 TEST(SchemeConformance, SchemesObserveIdenticalPayloads)
 {
     // The protocol choice is invisible to the memory semantics: the
-    // same trace must read back the same values under either scheme,
-    // serial and concurrent.
+    // same trace must read back the same values under either scheme.
     const std::vector<TraceRecord> records =
         makeTrace(1500, 1ULL << 12, 0xFEED5);
     const std::vector<std::uint64_t> expect = expectedPayloads(records);
 
     for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
-        for (const unsigned workers : {1u, 8u}) {
-            SystemConfig cfg = smallConfig(kind);
-            cfg.scheme = MemScheme::OramBaseline;
-            cfg.workers = workers;
-            System sys(cfg);
-            std::vector<std::uint64_t> payloads;
-            sys.runQueue(records, &payloads);
-            EXPECT_EQ(payloads, expect)
-                << schemeKindName(kind) << " workers=" << workers;
-        }
+        SystemConfig cfg = smallConfig(kind);
+        cfg.scheme = MemScheme::OramBaseline;
+        System sys(cfg);
+        std::vector<std::uint64_t> payloads;
+        sys.runQueue(records, &payloads);
+        EXPECT_EQ(payloads, expect) << schemeKindName(kind);
     }
 }
 
@@ -158,7 +185,6 @@ TEST(SchemeConformance, AuditedRunPassesOnBothSchemes)
         SystemConfig cfg = smallConfig(kind);
         cfg.scheme = MemScheme::OramDynamic;
         cfg.audit.enabled = true;
-        cfg.workers = 4;
         System sys(cfg);
         const SimResult res = sys.runQueue(records, nullptr);
         EXPECT_EQ(res.references, records.size());
@@ -183,22 +209,18 @@ TEST(SchemeConformance, RingSurvivesSmallBucketAndBudgetCorners)
     // stash. Payload semantics must hold regardless.
     const std::vector<TraceRecord> records =
         makeTrace(800, 1ULL << 12, 0xC0124E5);
-    const std::vector<std::uint64_t> expect = expectedPayloads(records);
 
-    for (const unsigned workers : {1u, 8u}) {
-        SystemConfig cfg = smallConfig(SchemeKind::Ring);
-        cfg.scheme = MemScheme::OramDynamic;
-        cfg.workers = workers;
-        cfg.oram.z = 1;
-        cfg.oram.ringS = 1;
-        cfg.oram.ringA = 1;
-        cfg.oram.stashCapacity = 400;
-        System sys(cfg);
-        std::vector<std::uint64_t> payloads;
-        sys.runQueue(records, &payloads);
-        EXPECT_EQ(payloads, expect) << "workers=" << workers;
-        expectIntact(sys, "ring_small_zs_w" + std::to_string(workers));
-    }
+    SystemConfig cfg = smallConfig(SchemeKind::Ring);
+    cfg.scheme = MemScheme::OramDynamic;
+    cfg.oram.z = 1;
+    cfg.oram.ringS = 1;
+    cfg.oram.ringA = 1;
+    cfg.oram.stashCapacity = 400;
+    System sys(cfg);
+    std::vector<std::uint64_t> payloads;
+    sys.runQueue(records, &payloads);
+    EXPECT_EQ(payloads, expectedPayloads(records));
+    expectIntact(sys, "ring_small_zs");
 }
 
 TEST(SchemeConformance, MetricsLabelAndCountersNameTheScheme)
@@ -226,22 +248,89 @@ TEST(SchemeConformance, MetricsLabelAndCountersNameTheScheme)
 
 TEST(SchemeConformance, SerialRunMatchesQueueDrainPerScheme)
 {
-    // run() (trace CPU, serial protocol) and runQueue() at one worker
-    // drive the same engine; a scheme whose serial and staged paths
-    // disagree would diverge here via the integrity sweep.
+    // runQueue() drives the same dataAccess protocol as run()'s trace
+    // CPU, one request at a time against the controller clock: every
+    // request is billed, and the tree survives the integrity sweep.
     for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
         const std::vector<TraceRecord> records =
             makeTrace(1000, 1ULL << 12, 0x5E71A1);
         SystemConfig cfg = smallConfig(kind);
         cfg.scheme = MemScheme::OramBaseline;
-        cfg.workers = 1;
         System sys(cfg);
         std::vector<std::uint64_t> payloads;
         const SimResult res = sys.runQueue(records, &payloads);
         EXPECT_EQ(res.references, records.size());
+        EXPECT_EQ(sys.controller()->stats().realRequests,
+                  records.size());
         EXPECT_EQ(payloads, expectedPayloads(records));
         expectIntact(sys, std::string("serial_") + schemeKindName(kind));
     }
+}
+
+/** The lazily initialized sparse-arena variant of @p kind's config. */
+SystemConfig
+sparseLazyConfig(SchemeKind kind, MemScheme scheme)
+{
+    SystemConfig cfg = smallConfig(kind);
+    cfg.scheme = scheme;
+    cfg.oram.lazyInit = true;
+    cfg.oram.arena.kind = ArenaKind::Sparse;
+    cfg.oram.arena.chunkBuckets = 16;
+    return cfg;
+}
+
+TEST(SchemeConformance, SparseLazyMatchesEagerDense)
+{
+    // The sparse arena + lazy initialization must be invisible to the
+    // drive semantics: every request observes exactly the payloads of
+    // the eager dense run, first-touch accounting stays exact, and the
+    // invariants hold.
+    const std::vector<TraceRecord> records =
+        makeTrace(1500, 1ULL << 12, 0xFACADE);
+    for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
+        SystemConfig dense = smallConfig(kind);
+        dense.scheme = MemScheme::OramDynamic;
+        System dsys(dense);
+        std::vector<std::uint64_t> expect;
+        dsys.runQueue(records, &expect);
+
+        System sys(sparseLazyConfig(kind, MemScheme::OramDynamic));
+        std::vector<std::uint64_t> payloads;
+        sys.runQueue(records, &payloads);
+        EXPECT_EQ(payloads, expect) << schemeKindName(kind);
+
+        const ArenaBackend &arena =
+            sys.controller()->oram().engine().tree().arena();
+        std::uint64_t seen = 0;
+        for (std::uint64_t c = 0; c < arena.numChunks(); ++c)
+            seen += arena.materialized(c) ? 1 : 0;
+        EXPECT_GT(seen, 0u);
+        EXPECT_EQ(arena.chunksMaterialized(), seen);
+        EXPECT_EQ(arena.bytesResident(), seen * arena.chunkBytes());
+        expectIntact(sys, std::string("sparse_lazy_") +
+                              schemeKindName(kind));
+    }
+}
+
+TEST(SchemeConformance, SparseLazyChunkSetIsDeterministic)
+{
+    // Same trace, run twice: lazy creation and chunk materialization
+    // are functions of the (seeded) access sequence alone, so the
+    // materialized-chunk set must repeat exactly.
+    const std::vector<TraceRecord> records =
+        makeTrace(1000, 1ULL << 12, 0xDECADE);
+    const auto run = [&records] {
+        System sys(
+            sparseLazyConfig(SchemeKind::Path, MemScheme::OramBaseline));
+        sys.runQueue(records, nullptr);
+        const ArenaBackend &arena =
+            sys.controller()->oram().engine().tree().arena();
+        std::vector<bool> chunks(arena.numChunks());
+        for (std::uint64_t c = 0; c < arena.numChunks(); ++c)
+            chunks[c] = arena.materialized(c);
+        return chunks;
+    };
+    EXPECT_EQ(run(), run());
 }
 
 } // namespace

@@ -94,18 +94,18 @@ coldSetup(std::vector<std::uint64_t> &lane, Leaf leaf)
         lane.reserve(128);
 }
 
-struct SubtreeCache
+struct BucketCache
 {
     bool windowed(TreeIdx node) const;
     std::uint32_t occupancy(TreeIdx node) const;
 };
 
-// The dedup-window fast path (PathOram's bucket* helpers): routing a
-// bucket access through the resident-window copy branches only on a
-// bool local derived from a null check and the public node index -
-// both declassified, so the dispatch must lint clean.
+// A cache-dispatch fast path: routing a bucket access through a
+// resident copy branches only on a bool local derived from a null
+// check and the public node index - both declassified, so the
+// dispatch must lint clean.
 PRORAM_OBLIVIOUS PRORAM_HOT std::uint32_t
-bucketOccupancyDispatch(SubtreeCache *cache, Leaf leaf)
+bucketOccupancyDispatch(BucketCache *cache, Leaf leaf)
 {
     const TreeIdx node = nodeOnPath(leaf, 0);
     const bool win = cache != nullptr && cache->windowed(node);
