@@ -185,18 +185,15 @@ OramController::drainPeriodicDummies(Cycles now)
 }
 
 Cycles
-OramController::dataAccess(Cycles now, BlockId block, OpType op,
-                           std::uint64_t write_data,
-                           std::uint64_t *read_out)
+OramController::serveRequest(Cycles now, BlockId block, bool is_writeback,
+                             OpType op, const std::uint64_t *write_data,
+                             std::uint64_t *read_out)
 {
-    PRORAM_TRACE_SCOPE_ARG("controller", "dataAccess", "block", block);
     drainPeriodicDummies(now);
 
-    std::uint64_t paths =
-        performAccess(block, false, op,
-                      op == OpType::Write ? &write_data : nullptr,
-                      read_out);
-    ++stats_.realRequests;
+    const std::uint64_t paths =
+        performAccess(block, is_writeback, op, write_data, read_out);
+    ++(is_writeback ? stats_.writebacks : stats_.realRequests);
     stats_.pathAccesses += paths;
 
     const PeriodicGrant grant = scheduler_.schedule(now, paths);
@@ -206,11 +203,21 @@ OramController::dataAccess(Cycles now, BlockId block, OpType op,
     epochBusy_ += grant.completion - grant.start;
     busyUntil_ = grant.completion;
     maybeRollEpoch(grant.completion);
+    return grant.completion;
+}
 
+Cycles
+OramController::dataAccess(Cycles now, BlockId block, OpType op,
+                           std::uint64_t write_data,
+                           std::uint64_t *read_out)
+{
+    PRORAM_TRACE_SCOPE_ARG("controller", "dataAccess", "block", block);
     // The traditional prefetcher (Fig. 5) trains in onDemandTouch,
     // which the core calls exactly once per demand access (cache hit
     // or miss-return); training here too would double-observe misses.
-    return grant.completion;
+    return serveRequest(now, block, false, op,
+                        op == OpType::Write ? &write_data : nullptr,
+                        read_out);
 }
 
 Cycles
@@ -225,20 +232,7 @@ OramController::writebackOne(Cycles now, BlockId block)
     // Timing-only write-back: remap the super block, preserve payload
     // (the trace CPU carries no data).
     PRORAM_TRACE_SCOPE_ARG("controller", "writeback", "block", block);
-    drainPeriodicDummies(now);
-
-    std::uint64_t paths =
-        performAccess(block, true, OpType::Write, nullptr, nullptr);
-    ++stats_.writebacks;
-    stats_.pathAccesses += paths;
-
-    const PeriodicGrant grant = scheduler_.schedule(now, paths);
-    if (auditor_)
-        auditor_->onGrant(grant.start, paths);
-    requestLatency_.sample((grant.completion - now).value());
-    epochBusy_ += grant.completion - grant.start;
-    busyUntil_ = grant.completion;
-    maybeRollEpoch(grant.completion);
+    serveRequest(now, block, true, OpType::Write, nullptr, nullptr);
 }
 
 void
@@ -265,21 +259,7 @@ OramController::writebackWithData(Cycles now, BlockId block,
 {
     PRORAM_TRACE_SCOPE_ARG("controller", "writebackData", "block",
                            block);
-    drainPeriodicDummies(now);
-
-    std::uint64_t paths =
-        performAccess(block, true, OpType::Write, &data, nullptr);
-    ++stats_.writebacks;
-    stats_.pathAccesses += paths;
-
-    const PeriodicGrant grant = scheduler_.schedule(now, paths);
-    if (auditor_)
-        auditor_->onGrant(grant.start, paths);
-    requestLatency_.sample((grant.completion - now).value());
-    epochBusy_ += grant.completion - grant.start;
-    busyUntil_ = grant.completion;
-    maybeRollEpoch(grant.completion);
-    return grant.completion;
+    return serveRequest(now, block, true, OpType::Write, &data, nullptr);
 }
 
 void

@@ -154,6 +154,17 @@ class OramController : public MemBackend, public LlcProbe
                                 const std::uint64_t *write_data,
                                 std::uint64_t *read_out);
 
+    /**
+     * One CPU-visible request end to end: run the idle periodic slots
+     * up to @p now, perform the access, count it as a demand request
+     * or a write-back, and account its scheduler grant (auditor,
+     * latency sample, epoch busy time, busyUntil_, epoch roll).
+     * @return the grant's completion cycle.
+     */
+    Cycles serveRequest(Cycles now, BlockId block, bool is_writeback,
+                        OpType op, const std::uint64_t *write_data,
+                        std::uint64_t *read_out);
+
     /** Refresh the policy's Eq. 1 rate window. */
     void maybeRollEpoch(Cycles now);
 

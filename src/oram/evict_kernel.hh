@@ -13,8 +13,8 @@
  *            (portable; little-endian hosts only).
  *  - Avx2:   eight leaves per iteration (x86-64, runtime-detected).
  *
- * All kernels are bit-identical on every input, including the garbage
- * lanes of dead stash slots (unsigned wrap-around and all): the
+ * All kernels are bit-identical on every input, including garbage
+ * and out-of-range leaves (unsigned wrap-around and all): the
  * randomized equivalence test in tests/oram/evict_kernel_test.cc
  * drives every available variant against the scalar reference, and
  * the golden-stats grid re-runs under each forced kernel. Dispatch
@@ -42,8 +42,8 @@ enum class Kernel : std::uint8_t { Auto, Scalar, Swar, Avx2 };
 /**
  * Fill out[i] = levels - bit_width(leaves[i] ^ path_leaf) for
  * i < n, using the dispatched kernel. The subtraction is mod 2^32 in
- * every variant, so callers may feed garbage lanes (dead stash slots)
- * as long as they ignore the corresponding outputs.
+ * every variant, so callers may feed garbage lanes as long as they
+ * ignore the corresponding outputs.
  */
 void classifyLevels(const Leaf *leaves, std::size_t n, Leaf path_leaf,
                     std::uint32_t levels, std::uint32_t *out);

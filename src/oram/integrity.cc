@@ -58,13 +58,30 @@ checkIntegrity(const UnifiedOram &oram)
         }
     }
 
-    // Pass 2: stash copies.
-    for (BlockId id : oram.engine().stash().residentIds()) {
+    // Pass 2: stash copies, each found through its own index entry
+    // with the leaf the position map holds (the leaf cache setLeaf
+    // keeps coherent).
+    const Stash &stash = oram.engine().stash();
+    const BlockId *stash_ids = stash.idLane();
+    const Leaf *stash_leaves = stash.leafLane();
+    for (std::uint32_t s = 0; s < stash.slotCount(); ++s) {
+        const BlockId id = stash_ids[s];
         if (id.value() >= total) {
             report.fail(str("stash holds out-of-range id", id));
             continue;
         }
         ++copies[id.value()];
+        if (pos.entry(id).stashSlot != s)
+            report.fail(str("stash slot not indexed by its block", id));
+        if (stash_leaves[s] != pos.leafOf(id))
+            report.fail(str("stash leaf cache disagrees with pos map", id));
+    }
+    // A block may name a stash slot only if that slot holds it.
+    for (BlockId id{0}; id.value() < total; ++id) {
+        const std::uint32_t s = pos.entry(id).stashSlot;
+        if (s != kNoStashSlot &&
+            (s >= stash.slotCount() || stash_ids[s] != id))
+            report.fail(str("stray stash index", id));
     }
 
     // Pass 3: exactly-once existence. Under lazy initialization a

@@ -37,7 +37,10 @@ struct IntegrityReport
  *  3. super blocks are aligned, power-of-two sized, size-consistent
  *     and co-mapped to a single leaf (Sec. 3.2);
  *  4. position-map blocks never belong to super blocks;
- *  5. every leaf label is within range.
+ *  5. every leaf label is within range;
+ *  6. the stash index is exact: each stash slot's block names that
+ *     slot in PosEntry::stashSlot and caches the position map's leaf,
+ *     and no other block carries a stash slot.
  */
 IntegrityReport checkIntegrity(const UnifiedOram &oram);
 

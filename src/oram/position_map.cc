@@ -70,22 +70,6 @@ PositionMap::PositionMap(std::uint64_t num_blocks, Leaf num_leaves)
              "position map needs at least one leaf");
 }
 
-PosEntry &
-PositionMap::entry(BlockId id)
-{
-    panic_if(id.value() >= entries_.size(), "pos-map index ", id,
-             " out of range");
-    return entries_[id.value()];
-}
-
-const PosEntry &
-PositionMap::entry(BlockId id) const
-{
-    panic_if(id.value() >= entries_.size(), "pos-map index ", id,
-             " out of range");
-    return entries_[id.value()];
-}
-
 PosMapBlockCache::PosMapBlockCache(std::uint32_t entries)
     : capacity_(entries), nodes_(entries), index_(entries)
 {

@@ -11,11 +11,14 @@
  * miss costs) is modelled by BlockSpace + PosMapBlockCache and charged
  * by the unified ORAM front end.
  *
- * Leaf-cache coherence: stash entries cache their block's leaf so the
- * eviction scan never re-reads the position map. setLeaf() is the one
- * mutation point for leaves, and it forwards every remap to the
- * attached Stash (see attachLeafCache()) - remap call sites do not,
- * and must not, update the stash themselves.
+ * Stash index and leaf-cache coherence: each entry also records the
+ * stash slot of its block (kNoStashSlot while the block is in the
+ * tree), so the stash needs no hash table of its own (oram/stash.hh).
+ * Stash slots cache their block's leaf so the eviction scan never
+ * re-reads the position map; setLeaf() is the one mutation point for
+ * leaves and writes a stash-resident block's cached copy through its
+ * slot - remap call sites do not, and must not, update the stash
+ * themselves.
  */
 
 #ifndef PRORAM_ORAM_POSITION_MAP_HH
@@ -25,33 +28,45 @@
 #include <vector>
 
 #include "oram/config.hh"
-#include "oram/stash.hh"
 #include "util/flat_index.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace proram
 {
 
+/** PosEntry::stashSlot of a block that is not in the stash. */
+inline constexpr std::uint32_t kNoStashSlot = 0xFFFFFFFFu;
+
 /** Per-block position-map entry (Fig. 4 of the paper). */
 struct PosEntry
 {
     Leaf leaf = kInvalidLeaf;
+    /** Slot of this block in the stash lanes, or kNoStashSlot when
+     *  the block is in the tree (or not yet created). Owned by
+     *  Stash; the stash's id index. */
+    std::uint32_t stashSlot = kNoStashSlot;
     /** log2 of the super block this block belongs to (0 = alone). */
     std::uint8_t sbSizeLog = 0;
     /** log2 of the group's member stride (0 = contiguous; Sec. 6.2
      *  strided-super-block extension). */
     std::uint8_t sbStrideLog = 0;
     /** Merge-counter bit contributed by this block. */
-    bool mergeBit = false;
+    bool mergeBit : 1 = false;
     /** Break-counter bit contributed by this block. */
-    bool breakBit = false;
+    bool breakBit : 1 = false;
     /** Block was brought in as a prefetch (Sec. 4.3). */
-    bool prefetchBit = false;
+    bool prefetchBit : 1 = false;
     /** Block's last prefetch was demand-used (Sec. 4.3). */
-    bool hitBit = false;
+    bool hitBit : 1 = false;
 
     std::uint32_t sbSize() const { return 1u << sbSizeLog; }
 };
+
+// One entry per tree-resident block: at 2^26 blocks every byte here
+// is 64 MB of host memory, so the stash index rides in the padding
+// the four flag bits freed.
+static_assert(sizeof(PosEntry) == 12, "PosEntry must stay 12 bytes");
 
 /**
  * Unified ORAM block-id layout: data blocks first, then one contiguous
@@ -102,28 +117,41 @@ class PositionMap
   public:
     PositionMap(std::uint64_t num_blocks, Leaf num_leaves);
 
-    PosEntry &entry(BlockId id);
-    const PosEntry &entry(BlockId id) const;
+    PosEntry &entry(BlockId id)
+    {
+        panic_if(id.value() >= entries_.size(), "pos-map index ", id,
+                 " out of range");
+        return entries_[id.value()];
+    }
+    const PosEntry &entry(BlockId id) const
+    {
+        panic_if(id.value() >= entries_.size(), "pos-map index ", id,
+                 " out of range");
+        return entries_[id.value()];
+    }
 
     Leaf leafOf(BlockId id) const { return entry(id).leaf; }
 
     /**
-     * Remap @p id to @p leaf. The single write point for leaves: also
-     * refreshes the attached stash's cached copy, so a remap made
-     * mid-access is visible to that access's own eviction scan.
-     * (Writing entry(id).leaf directly bypasses the stash and is a
-     * coherence bug whenever the block can be stash-resident.)
+     * Remap @p id to @p leaf. The single write point for leaves: a
+     * stash-resident block's cached copy is rewritten through its
+     * stash slot, so a remap made mid-access is visible to that
+     * access's own eviction scan. (Writing entry(id).leaf directly
+     * bypasses the stash and is a coherence bug whenever the block
+     * can be stash-resident; checkIntegrity reports it.)
      */
     void setLeaf(BlockId id, Leaf leaf)
     {
-        entry(id).leaf = leaf;
-        if (leafCache_)
-            leafCache_->updateLeaf(id, leaf);
+        PosEntry &e = entry(id);
+        e.leaf = leaf;
+        if (e.stashSlot != kNoStashSlot)
+            stashLeaves_[e.stashSlot] = leaf;
     }
 
-    /** Register @p stash as the leaf-cache coherence listener
-     *  (PathOram wires this up; nullptr detaches). */
-    void attachLeafCache(Stash *stash) { leafCache_ = stash; }
+    /** Register the stash's leaf lane as the cache setLeaf writes
+     *  through. Called by Stash whenever the lane (re)allocates, and
+     *  with nullptr when the stash goes away. */
+    void attachLeafCache(Leaf *lane) { stashLeaves_ = lane; }
 
     std::uint64_t size() const { return entries_.size(); }
     Leaf numLeaves() const { return numLeaves_; }
@@ -131,7 +159,8 @@ class PositionMap
   private:
     std::vector<PosEntry> entries_;
     Leaf numLeaves_;
-    Stash *leafCache_ = nullptr;
+    /** The attached stash's leaf lane, indexed by stash slot. */
+    Leaf *stashLeaves_ = nullptr;
 };
 
 /**

@@ -83,8 +83,8 @@ RingOram::readPath(Leaf leaf)
                 // PRORAM_LINT_ALLOW(secret-branch): see above.
                 if (posMap_.leafOf(id) != leaf)
                     continue;
-                const bool fresh = stash_.insert(
-                    id, tree_.slotData(node, i), leaf);
+                const bool fresh =
+                    stash_.insert(id, tree_.slotData(node, i));
                 panic_if(!fresh, "block ", id,
                          " duplicated between tree and stash");
                 tree_.clearSlot(node, i);
@@ -121,23 +121,9 @@ RingOram::runScheduledEviction()
     const Leaf ev = nextEvictionLeaf();
     PRORAM_TRACE_SCOPE_ARG("evict", "ringScheduled", "leaf", ev);
     ++pathReads_;
-    const std::uint32_t z = tree_.z();
-    for (Level level{0}; level <= tree_.leafLevel(); ++level) {
-        const TreeIdx node = tree_.nodeOnPath(ev, level);
-        readCount_[node.value()] = 0;
-        if (tree_.occupancy(node) == 0)
-            continue;
-        for (std::uint32_t i = 0; i < z; ++i) {
-            const BlockId id = tree_.slotId(node, i);
-            if (id == kInvalidBlock)
-                continue;
-            const bool fresh = stash_.insert(id, tree_.slotData(node, i),
-                                             posMap_.leafOf(id));
-            panic_if(!fresh, "block ", id,
-                     " duplicated between tree and stash");
-            tree_.clearSlot(node, i);
-        }
-    }
+    for (Level level{0}; level <= tree_.leafLevel(); ++level)
+        readCount_[tree_.nodeOnPath(ev, level).value()] = 0;
+    drainPath(ev);
     evictGreedy(ev);
     return ev;
 }

@@ -1,7 +1,5 @@
 #include "oram/scheme.hh"
 
-#include <cassert>
-
 #include "obs/trace.hh"
 #include "oram/evict_kernel.hh"
 #include "oram/path_oram.hh"
@@ -12,21 +10,26 @@
 namespace proram
 {
 
+namespace
+{
+
+/** levelScratch_ mark of a slot evictGreedy placed in the tree (no
+ *  real level is this large). */
+constexpr std::uint32_t kPlaced = 0xFFFFFFFFu;
+
+} // namespace
+
 OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
     : cfg_(cfg), posMap_(pos_map),
       tree_(cfg.levels(), cfg.z, cfg.arena),
-      stash_(cfg.stashCapacity), rng_(cfg.seed ^ 0x0aa77aa55aa33aa1ULL)
+      stash_(cfg.stashCapacity, pos_map),
+      rng_(cfg.seed ^ 0x0aa77aa55aa33aa1ULL)
 {
-    // Every leaf remap must reach stash-resident entries' cached
-    // leaves; routing through the position map's single write point
-    // covers all remap sites (eviction, merge, break) at once.
-    posMap_.attachLeafCache(&stash_);
-
     // Pre-size every eviction scratch buffer from the tree geometry so
     // the first accesses after construction are allocation-free too.
-    // The slot bound matches the stash lanes' reserve plus one path's
-    // worth of readPath growth; reserveScratch() covers the (rare)
-    // overshoot.
+    // The slot bound matches the stash lanes' initial room plus one
+    // path's worth of readPath growth; reserveScratch() covers the
+    // (rare) overshoot.
     const std::size_t slot_bound =
         static_cast<std::size_t>(cfg.stashCapacity) * 2 +
         static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
@@ -37,10 +40,7 @@ OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
     levelCursorScratch_.resize(level_slots, 0);
 }
 
-OramScheme::~OramScheme()
-{
-    posMap_.attachLeafCache(nullptr);
-}
+OramScheme::~OramScheme() = default;
 
 void
 OramScheme::reserveScratch(std::size_t slots)
@@ -49,8 +49,20 @@ OramScheme::reserveScratch(std::size_t slots)
         levelScratch_.resize(slots);
     if (sortedScratch_.size() < slots)
         sortedScratch_.resize(slots);
-    if (poolScratch_.capacity() < slots)
-        poolScratch_.reserve(slots);
+}
+
+PRORAM_OBLIVIOUS PRORAM_HOT void
+OramScheme::drainPath(Leaf leaf)
+{
+    for (Level level{0}; level <= tree_.leafLevel(); ++level) {
+        tree_.drainBucket(tree_.nodeOnPath(leaf, level),
+                          [this](BlockId id, std::uint64_t data) {
+                              panic_if(!stash_.insert(id, data), "block ",
+                                       id,
+                                       " duplicated between tree and "
+                                       "stash");
+                          });
+    }
 }
 
 PRORAM_OBLIVIOUS PRORAM_HOT void
@@ -58,13 +70,14 @@ OramScheme::evictGreedy(Leaf leaf)
 {
     // Counting-sort eviction: classify every stash slot's deepest
     // eligible level in one vectorized sweep over the contiguous leaf
-    // lane, histogram the live slots per level, then stable-scatter
-    // ids + payloads into one flat array grouped deepest level first.
+    // lane, histogram the slots per level, then stable-scatter the
+    // slot numbers into one flat array grouped deepest level first.
     // Insertion order within a level is preserved: it fixes which
     // blocks win a contended bucket, and the fixed-seed goldens pin
     // those placements.
     const std::uint32_t levels = tree_.levels();
-    const std::size_t slots = stash_.slotCount();
+    const std::uint32_t slots =
+        static_cast<std::uint32_t>(stash_.slotCount());
     reserveScratch(slots);
     {
         PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
@@ -77,12 +90,10 @@ OramScheme::evictGreedy(Leaf leaf)
     const std::uint64_t *payloads = stash_.dataLane();
     for (std::uint32_t l = 0; l <= levels; ++l)
         histScratch_[l] = 0;
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        panic_if(leaves[i] == kInvalidLeaf, "stash block ", ids[i],
+    for (std::uint32_t s = 0; s < slots; ++s) {
+        panic_if(leaves[s] == kInvalidLeaf, "stash block ", ids[s],
                  " has no leaf");
-        ++histScratch_[levelScratch_[i]];
+        ++histScratch_[levelScratch_[s]];
     }
     std::uint32_t offset = 0;
     for (std::uint32_t l = levels + 1; l-- > 0;) {
@@ -90,35 +101,33 @@ OramScheme::evictGreedy(Leaf leaf)
         levelCursorScratch_[l] = offset;
         offset += histScratch_[l];
     }
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        sortedScratch_[levelCursorScratch_[levelScratch_[i]]++] =
-            Evictable{ids[i], payloads[i]};
-    }
+    for (std::uint32_t s = 0; s < slots; ++s)
+        sortedScratch_[levelCursorScratch_[levelScratch_[s]]++] = s;
 
     // Fill buckets greedily from the leaf upward; unplaced deeper
-    // blocks stay pooled and may still land closer to the root.
+    // blocks stay pooled and may still land closer to the root. The
+    // pool is a stack of slot numbers kept in the already-read prefix
+    // of the sorted array (it never holds more than has been read).
+    // Ids and payloads come straight from the lanes, which do not
+    // change until the final pass drops the placed slots.
     PRORAM_TRACE_SCOPE_ARG("evict", "scatterFill", "leaf", leaf);
-    poolScratch_.clear();
+    std::uint32_t *pool = sortedScratch_.data();
+    std::uint32_t pooled = 0;
     for (std::uint32_t l = levels + 1; l-- > 0;) {
         const std::uint32_t start = levelStartScratch_[l];
         const std::uint32_t end = start + histScratch_[l];
-        for (std::uint32_t s = start; s < end; ++s) {
-            // PRORAM_LINT_ALLOW(hot-alloc): capacity pre-reserved by
-            // reserveScratch; push_back never grows in steady state.
-            poolScratch_.push_back(sortedScratch_[s]);
-        }
-        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
-        while (!poolScratch_.empty() && tree_.freeSlots(node) != 0) {
-            const Evictable ev = poolScratch_.back();
-            poolScratch_.pop_back();
-            tree_.tryPlace(node, ev.id, ev.data);
-            const bool erased = stash_.erase(ev.id);
-            assert(erased && "eligible block vanished from stash");
-            (void)erased;
-        }
+        for (std::uint32_t s = start; s < end; ++s)
+            pool[pooled++] = sortedScratch_[s];
+        tree_.fillBucket(tree_.nodeOnPath(leaf, Level{l}), pooled,
+                         [&](BlockId &id, std::uint64_t &data) {
+                             const std::uint32_t s = pool[--pooled];
+                             id = ids[s];
+                             data = payloads[s];
+                             levelScratch_[s] = kPlaced;
+                         });
     }
+    stash_.eraseSlotsIf(
+        [this](std::uint32_t s) { return levelScratch_[s] == kPlaced; });
     stash_.sampleOccupancy();
 }
 
@@ -131,7 +140,7 @@ OramScheme::placeInitial(BlockId id, std::uint64_t data)
         if (tree_.tryPlace(tree_.nodeOnPath(leaf, Level{l}), id, data))
             return;
     }
-    stash_.insert(id, data, leaf);
+    stash_.insert(id, data);
 }
 
 std::unique_ptr<OramScheme>

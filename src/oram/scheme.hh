@@ -144,13 +144,22 @@ class OramScheme
 
   protected:
     /**
+     * Move every real block on path @p leaf into the stash, bucket by
+     * bucket from the root (Path ORAM's read, and the read half of
+     * Ring ORAM's scheduled eviction). Panics if a block is already
+     * stash-resident - a second copy in the stash or on this path.
+     */
+    void drainPath(Leaf leaf);
+
+    /**
      * Greedy eviction onto path @p leaf, the write-back both
      * protocols share (Path ORAM on the demand path, Ring ORAM on its
      * scheduled path): classify every stash slot's deepest eligible
-     * level on the path, counting-sort the live slots deepest level
+     * level on the path, counting-sort the slot numbers deepest level
      * first (insertion order kept within a level), then fill buckets
      * from the leaf upward; unplaced deeper blocks stay pooled and may
-     * still land closer to the root. Samples stash occupancy.
+     * still land closer to the root. One stable pass then drops the
+     * placed slots from the stash. Samples stash occupancy.
      */
     void evictGreedy(Leaf leaf);
 
@@ -164,30 +173,23 @@ class OramScheme
     std::function<void(Leaf)> evictionObserver_;
 
   private:
-    /** A stash block staged for eviction: id plus payload captured in
-     *  the single stash scan so write-back needs no re-lookup. */
-    struct Evictable
-    {
-        BlockId id;
-        std::uint64_t data;
-    };
-
     /** Grow the per-slot scratch to cover @p slots stash slots. */
     void reserveScratch(std::size_t slots);
 
     // evictGreedy scratch, pre-sized from tree geometry at
     // construction (see reserveScratch) so even the first paths
     // allocate nothing.
-    /** Per-slot eviction level, filled by evict::classifyLevels. */
+    /** Per-slot eviction level, filled by evict::classifyLevels; a
+     *  placed slot's entry is overwritten with kPlaced. */
     std::vector<std::uint32_t> levelScratch_;
     /** Counting sort: per-level population / start offset / cursor. */
     std::vector<std::uint32_t> histScratch_;
     std::vector<std::uint32_t> levelStartScratch_;
     std::vector<std::uint32_t> levelCursorScratch_;
-    /** Evictables grouped deepest level first, insertion order kept
-     *  within each level (the stable-scatter output). */
-    std::vector<Evictable> sortedScratch_;
-    std::vector<Evictable> poolScratch_;
+    /** Stash slot numbers grouped deepest level first, insertion order
+     *  kept within each level (the stable-scatter output). Its
+     *  consumed prefix doubles as the pool of unplaced slots. */
+    std::vector<std::uint32_t> sortedScratch_;
 };
 
 /** Build the scheme selected by @p cfg (after resolvedScheme()). */

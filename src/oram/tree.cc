@@ -29,46 +29,6 @@ BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
     chunkMask_ = arena_->chunkBuckets() - 1;
 }
 
-TreeIdx
-BinaryTree::nodeOnPath(Leaf leaf, Level level) const
-{
-    panic_if(leaf.value() >= numLeaves(), "leaf ", leaf,
-             " out of range");
-    panic_if(level.value() > levels_, "level ", level, " out of range");
-    // Heap level l spans indices [2^l - 1, 2^(l+1) - 2] and the path
-    // node within it is indexed by the top `level` bits of the leaf
-    // label, so the bit-by-bit walk collapses to one shift-and-add.
-    return TreeIdx{((1ULL << level.value()) - 1) +
-                   (static_cast<std::uint64_t>(leaf.value()) >>
-                    (levels_ - level.value()))};
-}
-
-bool
-BinaryTree::tryPlace(TreeIdx node, BlockId id, std::uint64_t data)
-{
-    const std::uint64_t n = node.value();
-    ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
-    if (l.ids != nullptr && l.free[n & chunkMask_] == 0)
-        return false;
-    if (l.ids == nullptr) {
-        // First write into an implicit chunk: the bucket is all-dummy
-        // (it cannot be full), so a placement is guaranteed and the
-        // materialization cost is paid by an insertion, never a read.
-        l = arena_->materialize(n >> chunkShift_);
-    }
-    const std::uint64_t base = (n & chunkMask_) * z_;
-    for (std::uint32_t i = 0; i < z_; ++i) {
-        if (l.ids[base + i] == kInvalidBlock) {
-            l.ids[base + i] = id;
-            l.data[base + i] = data;
-            --l.free[n & chunkMask_];
-            return true;
-        }
-    }
-    panic("bucket free-slot count ", l.free[n & chunkMask_],
-          " but no dummy slot");
-}
-
 void
 BinaryTree::clearSlot(TreeIdx node, std::uint32_t i)
 {

@@ -32,6 +32,8 @@
 #include <memory>
 
 #include "mem/arena.hh"
+#include "util/annotations.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -101,9 +103,10 @@ class BucketRef
  *
  * Read accessors (slotId/slotData/freeSlots/occupancy) never
  * materialize: an implicit chunk answers all-dummy from the null
- * directory entry alone. Writes (tryPlace, rawId/rawData) materialize
- * the owning chunk on first touch; clearSlot of an implicit chunk is
- * a no-op (the slot is already dummy).
+ * directory entry alone. Writes (tryPlace, fillBucket, rawId/rawData)
+ * materialize the owning chunk on first touch; clearSlot and
+ * drainBucket of an implicit chunk are no-ops (its slots are already
+ * dummy).
  */
 class BinaryTree
 {
@@ -125,7 +128,20 @@ class BinaryTree
     const ArenaBackend &arena() const { return *arena_; }
 
     /** Heap index of the bucket at @p level on path @p leaf. */
-    TreeIdx nodeOnPath(Leaf leaf, Level level) const;
+    TreeIdx nodeOnPath(Leaf leaf, Level level) const
+    {
+        panic_if(leaf.value() >= numLeaves(), "leaf ", leaf,
+                 " out of range");
+        panic_if(level.value() > levels_, "level ", level,
+                 " out of range");
+        // Heap level l spans indices [2^l - 1, 2^(l+1) - 2] and the
+        // path node within it is indexed by the top `level` bits of
+        // the leaf label, so the bit-by-bit walk collapses to one
+        // shift-and-add.
+        return TreeIdx{((1ULL << level.value()) - 1) +
+                       (static_cast<std::uint64_t>(leaf.value()) >>
+                        (levels_ - level.value()))};
+    }
 
     /** View of bucket @p node. */
     BucketRef bucket(TreeIdx node) { return BucketRef(this, node); }
@@ -171,10 +187,82 @@ class BinaryTree
     /** Place a block in the first dummy slot of @p node; false if the
      *  bucket is full (O(1) in that case). Materializes the owning
      *  chunk on first touch. */
-    bool tryPlace(TreeIdx node, BlockId id, std::uint64_t data);
+    bool tryPlace(TreeIdx node, BlockId id, std::uint64_t data)
+    {
+        return fillBucket(node, 1, [&](BlockId &slot_id,
+                                       std::uint64_t &slot_data) {
+                   slot_id = id;
+                   slot_data = data;
+               }) == 1;
+    }
 
     /** Evict slot @p i of @p node back to dummy. */
     void clearSlot(TreeIdx node, std::uint32_t i);
+
+    /**
+     * Hand every real block of @p node to fn(id, data) in slot order,
+     * then reset the bucket to all-dummy with one free-count write.
+     * An implicit chunk or an empty bucket costs one free-count read.
+     */
+    template <typename Fn>
+    PRORAM_OBLIVIOUS PRORAM_HOT void drainBucket(TreeIdx node, Fn &&fn)
+    {
+        const std::uint64_t n = node.value();
+        const ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
+        if (l.ids == nullptr || l.free[n & chunkMask_] == z_)
+            return;
+        BlockId *slot_ids = l.ids + (n & chunkMask_) * z_;
+        std::uint64_t *slot_data = l.data + (n & chunkMask_) * z_;
+        for (std::uint32_t i = 0; i < z_; ++i) {
+            if (slot_ids[i] == kInvalidBlock)
+                continue;
+            fn(slot_ids[i], slot_data[i]);
+            slot_ids[i] = kInvalidBlock;
+            slot_data[i] = 0;
+        }
+        l.free[n & chunkMask_] = z_;
+    }
+
+    /**
+     * Fill @p node's dummy slots in slot order with up to @p count
+     * blocks, each produced by next(id, data) writing the slot's id
+     * and payload in place - the placements repeated tryPlace calls
+     * would make. @return how many were placed (0 when the bucket is
+     * full or @p count is 0, without materializing anything);
+     * materializes the owning chunk on the first real placement.
+     */
+    template <typename Next>
+    PRORAM_OBLIVIOUS PRORAM_HOT std::uint32_t
+    fillBucket(TreeIdx node, std::uint32_t count, Next &&next)
+    {
+        const std::uint64_t n = node.value();
+        ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
+        if (count == 0 ||
+            (l.ids != nullptr && l.free[n & chunkMask_] == 0))
+            return 0;
+        if (l.ids == nullptr) {
+            // First write into an implicit chunk: the bucket is
+            // all-dummy (it cannot be full), so a placement is
+            // guaranteed and the materialization cost is paid by an
+            // insertion, never a read.
+            l = arena_->materialize(n >> chunkShift_);
+        }
+        std::uint32_t &free = l.free[n & chunkMask_];
+        const std::uint32_t want = count < free ? count : free;
+        BlockId *slot_ids = l.ids + (n & chunkMask_) * z_;
+        std::uint64_t *slot_data = l.data + (n & chunkMask_) * z_;
+        std::uint32_t placed = 0;
+        for (std::uint32_t i = 0; placed < want; ++i) {
+            panic_if(i == z_, "bucket free-slot count ", free,
+                     " but no dummy slot");
+            if (slot_ids[i] != kInvalidBlock)
+                continue;
+            next(slot_ids[i], slot_data[i]);
+            ++placed;
+        }
+        free -= placed;
+        return placed;
+    }
 
     /** @} */
 

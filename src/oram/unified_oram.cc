@@ -70,7 +70,7 @@ UnifiedOram::ensureCreated(BlockId id)
     // exactly what eager initialization would have left on this
     // block's path. The stash insert is the creation point; the
     // normal write-back machinery moves it into the tree.
-    oram_->stash().insert(id, 0, posMap_.leafOf(id));
+    oram_->stash().insert(id, 0);
     created_[id.value() >> 6] |= 1ULL << (id.value() & 63);
     return true;
 }
@@ -133,10 +133,9 @@ UnifiedOram::posMapWalk(BlockId id)
     }
     for (std::size_t i = first_cached; i-- > 0;) {
         fetchPosMapBlock(chain[i]);
-        walk.fetched.push_back(chain[i]);
+        ++walk.fetched;
     }
-    PRORAM_TRACE_EVENT("posmap", "walk", "depth",
-                       walk.fetched.size());
+    PRORAM_TRACE_EVENT("posmap", "walk", "depth", walk.fetched);
     return walk;
 }
 

@@ -23,11 +23,11 @@ namespace proram
 /** Outcome of resolving a block's leaf through the recursion. */
 struct PosMapWalk
 {
-    /** Position-map blocks that had to be path-accessed (PLB misses),
-     *  outermost (closest to on-chip) first. */
-    std::vector<BlockId> fetched;
+    /** Position-map blocks that had to be path-accessed (PLB
+     *  misses). */
+    std::uint64_t fetched = 0;
 
-    std::uint64_t pathAccesses() const { return fetched.size(); }
+    std::uint64_t pathAccesses() const { return fetched; }
 };
 
 /**

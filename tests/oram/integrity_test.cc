@@ -73,7 +73,7 @@ TEST(Integrity, DetectsDuplicateBlock)
     u.initialize();
     // Stash copy + tree copy at once.
     ASSERT_TRUE(findSlot(u, 9_id).found);
-    u.engine().stash().insert(9_id, 0, u.posMap().leafOf(9_id));
+    u.engine().stash().insert(9_id, 0);
     const auto rep = checkIntegrity(u);
     EXPECT_FALSE(rep.ok);
     bool found = false;
@@ -109,8 +109,7 @@ TEST(Integrity, DetectsSuperBlockLeafMismatch)
     const SlotLoc loc = findSlot(u, 0_id);
     if (loc.found) {
         BucketRef b = u.engine().tree().bucket(TreeIdx{loc.node});
-        u.engine().stash().insert(0_id, b.data(loc.i),
-                                  u.posMap().leafOf(0_id));
+        u.engine().stash().insert(0_id, b.data(loc.i));
         b.clearSlot(loc.i);
     }
     u.posMap().setLeaf(
@@ -123,6 +122,82 @@ TEST(Integrity, DetectsSuperBlockLeafMismatch)
     for (const auto &v : rep.violations)
         found = found || v.find("different leaves") != std::string::npos;
     EXPECT_TRUE(found);
+}
+
+/** Move tree-resident @p id into the stash the way readPath would. */
+void
+pullIntoStash(UnifiedOram &u, BlockId id)
+{
+    const SlotLoc loc = findSlot(u, id);
+    ASSERT_TRUE(loc.found);
+    BucketRef b = u.engine().tree().bucket(TreeIdx{loc.node});
+    ASSERT_TRUE(u.engine().stash().insert(id, b.data(loc.i)));
+    b.clearSlot(loc.i);
+}
+
+bool
+reports(const IntegrityReport &rep, const char *what)
+{
+    for (const auto &v : rep.violations) {
+        if (v.find(what) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(Integrity, StashIndexAndLeafCacheOfHealthyStashPass)
+{
+    UnifiedOram u(cfg());
+    u.initialize();
+    pullIntoStash(u, 11_id);
+    pullIntoStash(u, 12_id);
+    u.posMap().setLeaf(11_id, 3_leaf); // coherent remap via setLeaf
+    const auto rep = checkIntegrity(u);
+    EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? ""
+                                                   : rep.violations[0]);
+}
+
+TEST(Integrity, DetectsStaleStashLeafCache)
+{
+    UnifiedOram u(cfg());
+    u.initialize();
+    pullIntoStash(u, 11_id);
+    // Bypass setLeaf: the stash keeps caching the old leaf.
+    const Leaf old_leaf = u.posMap().leafOf(11_id);
+    u.posMap().entry(11_id).leaf = Leaf{
+        (old_leaf.value() + 1) %
+        static_cast<std::uint32_t>(u.engine().tree().numLeaves())};
+    const auto rep = checkIntegrity(u);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_TRUE(reports(rep, "leaf cache"));
+}
+
+TEST(Integrity, DetectsStrayStashIndex)
+{
+    UnifiedOram u(cfg());
+    u.initialize();
+    pullIntoStash(u, 11_id);
+    // A tree-resident block claiming the stash's only slot.
+    ASSERT_TRUE(findSlot(u, 13_id).found);
+    u.posMap().entry(13_id).stashSlot = 0;
+    auto rep = checkIntegrity(u);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_TRUE(reports(rep, "stray stash index"));
+    // And one naming a slot past the end of the stash.
+    u.posMap().entry(13_id).stashSlot = 7;
+    rep = checkIntegrity(u);
+    EXPECT_TRUE(reports(rep, "stray stash index"));
+}
+
+TEST(Integrity, DetectsUnindexedStashSlot)
+{
+    UnifiedOram u(cfg());
+    u.initialize();
+    pullIntoStash(u, 11_id);
+    u.posMap().entry(11_id).stashSlot = kNoStashSlot;
+    const auto rep = checkIntegrity(u);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_TRUE(reports(rep, "not indexed"));
 }
 
 TEST(Integrity, DetectsSuperBlockGeometryMismatch)

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace proram
@@ -60,6 +64,43 @@ struct Fixture
     PositionMap posMap;
     PathOram oram;
 };
+
+/** Tree positions (node, slot) holding a real block on path @p leaf,
+ *  root first. */
+std::vector<std::pair<TreeIdx, std::uint32_t>>
+realSlotsOnPath(const BinaryTree &t, Leaf leaf)
+{
+    std::vector<std::pair<TreeIdx, std::uint32_t>> out;
+    for (Level l{0}; l <= t.leafLevel(); ++l) {
+        const TreeIdx node = t.nodeOnPath(leaf, l);
+        for (std::uint32_t i = 0; i < t.z(); ++i) {
+            if (t.slotId(node, i) != kInvalidBlock)
+                out.emplace_back(node, i);
+        }
+    }
+    return out;
+}
+
+/** Overwrite the real block at @p at with @p id. Replacing a real
+ *  block (not filling a dummy) keeps the bucket's free count exact,
+ *  so the read cannot skip the bucket as empty. */
+void
+plantCopy(BinaryTree &t, std::pair<TreeIdx, std::uint32_t> at, BlockId id)
+{
+    t.bucket(at.first).rawId(at.second) = id;
+}
+
+/** A leaf whose path still holds a real block. */
+Leaf
+leafWithRealBlock(const BinaryTree &t)
+{
+    for (std::uint64_t l = 0; l < t.numLeaves(); ++l) {
+        const Leaf leaf{static_cast<std::uint32_t>(l)};
+        if (!realSlotsOnPath(t, leaf).empty())
+            return leaf;
+    }
+    return kInvalidLeaf;
+}
 
 TEST(PathOram, InitialPlacementStoresEveryBlockOnce)
 {
@@ -237,12 +278,38 @@ TEST(PathOram, WritePathPlacesDeepestFirst)
     for (std::uint64_t b = 0; b < 8; ++b)
         f.posMap.setLeaf(BlockId{b}, target); // all on path 0
     for (std::uint64_t b = 0; b < 8; ++b)
-        f.oram.stash().insert(BlockId{b}, 0, target);
+        f.oram.stash().insert(BlockId{b}, 0);
     f.oram.writePath(target);
     // With Z=3 and a multi-level path, the leaf bucket must be full.
     const BinaryTree &t = f.oram.tree();
     EXPECT_EQ(t.bucket(t.nodeOnPath(target, t.leafLevel())).occupancy(),
               t.z());
+}
+
+TEST(PathOram, ReadPathPanicsOnSecondCopyOnThePath)
+{
+    Fixture f;
+    f.init();
+    const Leaf leaf{0};
+    const auto real = realSlotsOnPath(f.oram.tree(), leaf);
+    ASSERT_GE(real.size(), 2u);
+    const BlockId first =
+        f.oram.tree().slotId(real.front().first, real.front().second);
+    plantCopy(f.oram.tree(), real.back(), first);
+    EXPECT_THROW(f.oram.readPath(leaf), SimPanic);
+}
+
+TEST(PathOram, ReadPathPanicsOnTreeCopyOfStashBlock)
+{
+    Fixture f;
+    f.init();
+    const BlockId b{5};
+    f.oram.readPath(f.posMap.leafOf(b));
+    ASSERT_TRUE(f.oram.stash().contains(b));
+    const Leaf other = leafWithRealBlock(f.oram.tree());
+    ASSERT_NE(other, kInvalidLeaf);
+    plantCopy(f.oram.tree(), realSlotsOnPath(f.oram.tree(), other)[0], b);
+    EXPECT_THROW(f.oram.readPath(other), SimPanic);
 }
 
 TEST(PathOram, RandomLeafCoversRange)

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <list>
 
+#include "oram/stash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -197,21 +198,29 @@ TEST(Plb, MatchesReferenceLruModel)
 
 TEST(PositionMap, SetLeafForwardsToAttachedLeafCache)
 {
-    // The leaf-cache coherence hook: while a stash is attached, every
-    // setLeaf must refresh that stash's cached copy for resident
-    // blocks and leave non-resident blocks alone.
+    // The leaf-cache coherence hook: a stash built over the map
+    // indexes its blocks in PosEntry::stashSlot, and every setLeaf
+    // must refresh that stash's cached copy through the slot for
+    // resident blocks and leave non-resident blocks alone.
     PositionMap pm(100, Leaf{64});
-    Stash stash(8);
-    stash.insert(7_id, 0, 1_leaf);
-    pm.attachLeafCache(&stash);
+    pm.setLeaf(7_id, 1_leaf);
+    Stash stash(8, pm);
+    stash.insert(7_id, 0);
+    EXPECT_EQ(stash.leafOf(7_id), 1_leaf);
     pm.setLeaf(7_id, 42_leaf);
     EXPECT_EQ(pm.leafOf(7_id), 42_leaf);
     EXPECT_EQ(stash.leafOf(7_id), 42_leaf);
     pm.setLeaf(8_id, 13_leaf); // not stash-resident: no phantom insert
     EXPECT_FALSE(stash.contains(8_id));
-    pm.attachLeafCache(nullptr);
-    pm.setLeaf(7_id, 5_leaf); // detached: stash copy goes stale by design
-    EXPECT_EQ(stash.leafOf(7_id), 42_leaf);
+    EXPECT_EQ(pm.entry(8_id).stashSlot, kNoStashSlot);
+    // Growing the stash moves its leaf lane; the write-through
+    // follows it.
+    for (std::uint64_t b = 10; b < 90; ++b)
+        stash.insert(BlockId{b}, 0);
+    pm.setLeaf(7_id, 5_leaf);
+    EXPECT_EQ(stash.leafOf(7_id), 5_leaf);
+    pm.setLeaf(89_id, 6_leaf);
+    EXPECT_EQ(stash.leafOf(89_id), 6_leaf);
 }
 
 } // namespace

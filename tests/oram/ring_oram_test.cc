@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "oram/path_oram.hh"
 #include "util/bits.hh"
@@ -68,6 +70,31 @@ struct Fixture
     PositionMap posMap;
     RingOram oram;
 };
+
+/** Tree positions (node, slot) holding a real block on path @p leaf,
+ *  root first. */
+std::vector<std::pair<TreeIdx, std::uint32_t>>
+realSlotsOnPath(const BinaryTree &t, Leaf leaf)
+{
+    std::vector<std::pair<TreeIdx, std::uint32_t>> out;
+    for (Level l{0}; l <= t.leafLevel(); ++l) {
+        const TreeIdx node = t.nodeOnPath(leaf, l);
+        for (std::uint32_t i = 0; i < t.z(); ++i) {
+            if (t.slotId(node, i) != kInvalidBlock)
+                out.emplace_back(node, i);
+        }
+    }
+    return out;
+}
+
+/** Overwrite the real block at @p at with @p id. Replacing a real
+ *  block (not filling a dummy) keeps the bucket's free count exact,
+ *  so the read cannot skip the bucket as empty. */
+void
+plantCopy(BinaryTree &t, std::pair<TreeIdx, std::uint32_t> at, BlockId id)
+{
+    t.bucket(at.first).rawId(at.second) = id;
+}
 
 TEST(RingOram, ReverseLexSchedulePermutesTheLeaves)
 {
@@ -229,6 +256,33 @@ TEST(RingOram, DummyAccessAdvancesScheduleAndNeverGrowsStash)
         EXPECT_EQ(f.oram.evictionsRun(), g + 1);
         EXPECT_LE(f.oram.stash().size(), before);
     }
+}
+
+TEST(RingOram, ScheduledEvictionPanicsOnSecondCopyOnThePath)
+{
+    Fixture f;
+    f.init();
+    const Leaf ev = f.oram.evictionLeafAt(f.oram.evictionsRun());
+    const auto real = realSlotsOnPath(f.oram.tree(), ev);
+    ASSERT_GE(real.size(), 2u);
+    const BlockId first =
+        f.oram.tree().slotId(real.front().first, real.front().second);
+    plantCopy(f.oram.tree(), real.back(), first);
+    EXPECT_THROW(f.oram.dummyAccess(), SimPanic);
+}
+
+TEST(RingOram, ScheduledEvictionPanicsOnTreeCopyOfStashBlock)
+{
+    Fixture f;
+    f.init();
+    const BlockId b{5};
+    f.oram.readPath(f.posMap.leafOf(b));
+    ASSERT_TRUE(f.oram.stash().contains(b));
+    const Leaf ev = f.oram.evictionLeafAt(f.oram.evictionsRun());
+    const auto real = realSlotsOnPath(f.oram.tree(), ev);
+    ASSERT_FALSE(real.empty());
+    plantCopy(f.oram.tree(), real.front(), b);
+    EXPECT_THROW(f.oram.dummyAccess(), SimPanic);
 }
 
 TEST(RingOram, AccessWithRemapKeepsSingleCopy)

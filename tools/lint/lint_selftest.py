@@ -197,10 +197,14 @@ class RingStageAnnotations(unittest.TestCase):
 
 
 class SharedEvictionAnnotations(unittest.TestCase):
-    """scheme.cc's greedy eviction, shared by both engines, is a stage
-    too."""
+    """scheme.cc's whole-path read and greedy eviction, shared by both
+    engines, are stages too."""
 
     STUB = """\
+PRORAM_OBLIVIOUS PRORAM_HOT void
+OramScheme::drainPath(Leaf leaf)
+{
+}
 %s
 OramScheme::evictGreedy(Leaf leaf)
 {
@@ -217,6 +221,15 @@ OramScheme::evictGreedy(Leaf leaf)
         self.assertEqual([d.rule for d in diags], ["stage-annotation"])
         self.assertIn("OramScheme::evictGreedy", diags[0].message)
         self.assertIn("PRORAM_OBLIVIOUS", diags[0].message)
+
+    def test_missing_drain_caught(self):
+        stub = self.STUB.replace("OramScheme::drainPath",
+                                 "OramScheme::other")
+        diags = lint_stage_stub(
+            "scheme.cc", stub % "PRORAM_OBLIVIOUS PRORAM_HOT void")
+        messages = " ".join(d.message for d in diags)
+        self.assertIn("not found", messages)
+        self.assertIn("drainPath", messages)
 
 
 class SchemeIncludeBan(unittest.TestCase):

@@ -40,7 +40,8 @@ Enforces three project rules over C++ sources (see DESIGN.md,
 
   stage-annotation  The access stages of every scheme -- readPath /
                  writePath in src/oram/path_oram.cc and
-                 src/oram/ring_oram.cc, and the shared greedy eviction
+                 src/oram/ring_oram.cc, and the shared whole-path read
+                 and greedy eviction OramScheme::drainPath /
                  OramScheme::evictGreedy in src/oram/scheme.cc -- must
                  keep both PRORAM_OBLIVIOUS and PRORAM_HOT on their
                  definitions. The other rules only fire inside
@@ -95,7 +96,7 @@ HOT_PATH_DIRS = ("src/oram", "src/core")
 STAGE_ANNOTATED = {
     "src/oram/path_oram.cc": ("PathOram", ("readPath", "writePath")),
     "src/oram/ring_oram.cc": ("RingOram", ("readPath", "writePath")),
-    "src/oram/scheme.cc": ("OramScheme", ("evictGreedy",)),
+    "src/oram/scheme.cc": ("OramScheme", ("drainPath", "evictGreedy")),
 }
 # The one directory allowed to read wall-clock time.
 CLOCK_ALLOWED_DIRS = ("src/obs",)
