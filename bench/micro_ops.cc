@@ -167,7 +167,7 @@ BENCHMARK(BM_PlbLookup);
 void
 BM_TreePathTouch(benchmark::State &state)
 {
-    // Raw slot-arena traversal: walk one root-to-leaf path and sum
+    // Raw bucket-record traversal: walk one root-to-leaf path and sum
     // bucket occupancies (the memory-access pattern of readPath
     // without the stash work).
     UnifiedOram oram(microCfg());
@@ -189,13 +189,12 @@ BENCHMARK(BM_TreePathTouch);
 void
 BM_SparseTreeTouch(benchmark::State &state)
 {
-    // BM_TreePathTouch with the sparse backend and nothing
-    // materialized: the cost of the chunk-directory indirection on
-    // the all-implicit read path (what cold tree regions pay under
-    // the lazy layout).
+    // BM_TreePathTouch over on-demand storage with nothing
+    // allocated: every read goes through the chunk directory to the
+    // shared zero chunk (what cold tree regions pay under lazy
+    // initialization).
     OramConfig cfg = microCfg();
     cfg.lazyInit = true;
-    cfg.arena.kind = ArenaKind::Sparse;
     UnifiedOram oram(cfg);
     oram.initialize();
     const BinaryTree &tree = oram.engine().tree();
@@ -210,18 +209,18 @@ BM_SparseTreeTouch(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
     state.counters["chunksMaterialized"] =
-        static_cast<double>(tree.arena().chunksMaterialized());
+        static_cast<double>(tree.chunksMaterialized());
     state.counters["arenaBytesResident"] =
-        static_cast<double>(tree.arena().bytesResident());
+        static_cast<double>(tree.bytesResident());
 }
 BENCHMARK(BM_SparseTreeTouch);
 
 void
 BM_TreeConstruct(benchmark::State &state)
 {
-    // Dense arena construction at ~0.5 M buckets: dominated by lane
-    // initialization (id/free fills; payload lanes stay
-    // uninitialized until a real block lands).
+    // Eager tree construction at ~0.5 M buckets: dominated by
+    // zeroing the one block of bucket records (zero is an empty
+    // bucket, so there is no other fill).
     for (auto _ : state) {
         BinaryTree t(18, 3);
         benchmark::DoNotOptimize(t.numBuckets());
@@ -234,16 +233,15 @@ void
 BM_LargeTreeDrive(benchmark::State &state)
 {
     // Full controller accesses against a 2^24-block tree - a scale
-    // the dense layout cannot even allocate on small hosts. Lazy
-    // init + sparse arena keep residency proportional to the touched
-    // working set; the counters record how much actually
-    // materialized.
+    // an eager tree cannot even allocate on small hosts. Lazy init
+    // and the on-demand storage it selects keep residency
+    // proportional to the touched working set; the counters record
+    // how much was actually allocated.
     OramConfig cfg;
     cfg.numDataBlocks = 1ULL << 24;
     cfg.stashCapacity = 400;
     cfg.seed = 77;
     cfg.lazyInit = true;
-    cfg.arena.kind = ArenaKind::Sparse;
     CacheHierarchy hier(microHier());
     OramController ctl(cfg, ControllerConfig{}, hier);
     ctl.configureBaseline();
@@ -254,11 +252,11 @@ BM_LargeTreeDrive(benchmark::State &state)
                        nullptr);
     }
     state.SetItemsProcessed(state.iterations());
-    const ArenaBackend &arena = ctl.oram().engine().tree().arena();
+    const BinaryTree &tree = ctl.oram().engine().tree();
     state.counters["chunksMaterialized"] =
-        static_cast<double>(arena.chunksMaterialized());
+        static_cast<double>(tree.chunksMaterialized());
     state.counters["arenaBytesResident"] =
-        static_cast<double>(arena.bytesResident());
+        static_cast<double>(tree.bytesResident());
 }
 BENCHMARK(BM_LargeTreeDrive);
 

@@ -382,22 +382,22 @@ OramController::buildStatGroup() const
                        o->engine().schemeCounters().scheduledEvictions);
                });
 
-    // Slot-arena materialization telemetry (DESIGN.md Sec. 12):
+    // Tree-storage materialization telemetry (DESIGN.md Sec. 12):
     // memory cost as a first-class metric next to the path counters.
     g.addValue("arenaChunksMaterialized",
-               "slot-arena chunks materialized (first writes)", [o] {
+               "tree chunks allocated (all of an eager tree)", [o] {
                    return static_cast<double>(
-                       o->engine().tree().arena().chunksMaterialized());
+                       o->engine().tree().chunksMaterialized());
                });
     g.addValue("arenaBytesResident",
-               "lane bytes of materialized arena chunks", [o] {
+               "bucket-record bytes of allocated tree chunks", [o] {
                    return static_cast<double>(
-                       o->engine().tree().arena().bytesResident());
+                       o->engine().tree().bytesResident());
                });
     g.addValue("arenaBytesTotal",
-               "lane bytes if every chunk were materialized", [o] {
+               "bucket-record bytes if every chunk were allocated", [o] {
                    return static_cast<double>(
-                       o->engine().tree().arena().bytesTotal());
+                       o->engine().tree().bytesTotal());
                });
     return g;
 }

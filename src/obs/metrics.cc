@@ -135,7 +135,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
     w.endObject();
 
     // Process-level memory sample: the OS-truth complement to the
-    // arena group's lane-byte accounting.
+    // tree's bucket-record byte accounting (arena* stats).
     w.key("process");
     w.beginObject();
     w.key("peakRssBytes");

@@ -33,8 +33,8 @@ inline constexpr const char *kMetricsSchema = "proram-metrics-v1";
  * Peak resident-set size of this process in bytes (Linux VmHWM;
  * 0 where /proc is unavailable). Sampled at serialization time, so a
  * metrics dump written at experiment end records the run's true
- * memory high-water mark next to the arena's own byte accounting
- * (which only counts tree lanes).
+ * memory high-water mark next to the tree's own byte accounting
+ * (which only counts bucket records).
  */
 std::uint64_t peakRssBytes();
 

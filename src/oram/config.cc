@@ -171,7 +171,6 @@ OramConfig::validate() const
     fatal_if(stashCapacity == 0, "stash capacity must be positive");
     fatal_if(ringS > 255, "ring dummy budget S out of range (max 255)");
     fatal_if(ringA > (1U << 16), "ring eviction rate A out of range");
-    arena.validate();
 }
 
 } // namespace proram

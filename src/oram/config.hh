@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "mem/arena.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -74,21 +73,14 @@ struct OramConfig
     std::uint64_t seed = 1;
 
     /**
-     * Slot-arena storage backend for the binary tree (mem/arena.hh,
-     * DESIGN.md Sec. 12). The default resolves $PRORAM_ARENA and
-     * falls back to the eager dense layout; every backend is
-     * functionally bit-identical, they differ only in memory cost.
-     */
-    ArenaOptions arena{};
-
-    /**
      * Skip the eager placement pass of initialize(): blocks start
      * "virtually resident" with payload 0 and are created in the
      * stash on first access. Payload-equivalent to eager
-     * initialization but not stat-identical (the tree starts empty),
-     * so it is a separate knob from the arena backend; required to
-     * run paper-scale (2^26-block) trees functionally, where eager
-     * placement would materialize nearly every chunk.
+     * initialization but not stat-identical (the tree starts empty).
+     * It also selects on-demand tree storage (oram/tree.hh), which
+     * allocates a chunk of bucket records on its first write; with
+     * both, a paper-scale (2^26-block) tree costs only its touched
+     * chunks.
      */
     bool lazyInit = false;
 

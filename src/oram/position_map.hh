@@ -24,10 +24,12 @@
 #ifndef PRORAM_ORAM_POSITION_MAP_HH
 #define PRORAM_ORAM_POSITION_MAP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "oram/config.hh"
+#include "util/annotations.hh"
 #include "util/flat_index.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
@@ -131,6 +133,18 @@ class PositionMap
     }
 
     Leaf leafOf(BlockId id) const { return entry(id).leaf; }
+
+    /**
+     * Start loading @p id's entry into the cache, for writing. An
+     * out-of-range id is clamped to the end of the map, so no
+     * out-of-range pointer is formed; entry() still panics on it.
+     */
+    PRORAM_OBLIVIOUS PRORAM_HOT void prefetchEntry(BlockId id) const
+    {
+        const std::uint64_t at =
+            std::min<std::uint64_t>(id.value(), entries_.size());
+        __builtin_prefetch(entries_.data() + at, 1);
+    }
 
     /**
      * Remap @p id to @p leaf. The single write point for leaves: a

@@ -68,28 +68,24 @@ RingOram::readPath(Leaf leaf)
     for (Level level{0}; level <= tree_.leafLevel(); ++level) {
         const TreeIdx node = tree_.nodeOnPath(leaf, level);
         std::uint32_t extracted = 0;
-        if (tree_.occupancy(node) != 0) {
-            for (std::uint32_t i = 0; i < z; ++i) {
-                const BlockId id = tree_.slotId(node, i);
-                if (id == kInvalidBlock)
-                    continue;
-                // Interest-set probe: only blocks mapped to the
-                // accessed leaf leave their bucket (the demanded
-                // super block's members and pos-map blocks all map
-                // there). Which block a bucket read returns is
-                // client-internal metadata in the hardware design;
-                // the public pattern is one read per bucket on the
-                // path either way.
-                // PRORAM_LINT_ALLOW(secret-branch): see above.
-                if (posMap_.leafOf(id) != leaf)
-                    continue;
-                const bool fresh =
-                    stash_.insert(id, tree_.slotData(node, i));
-                panic_if(!fresh, "block ", id,
-                         " duplicated between tree and stash");
-                tree_.clearSlot(node, i);
-                ++extracted;
-            }
+        for (std::uint32_t i = 0; i < z; ++i) {
+            const BlockId id = tree_.slotId(node, i);
+            if (id == kInvalidBlock)
+                continue;
+            // Interest-set probe: only blocks mapped to the accessed
+            // leaf leave their bucket (the demanded super block's
+            // members and pos-map blocks all map there). Which block
+            // a bucket read returns is client-internal metadata in the
+            // hardware design; the public pattern is one read per
+            // bucket on the path either way.
+            // PRORAM_LINT_ALLOW(secret-branch): see above.
+            if (posMap_.leafOf(id) != leaf)
+                continue;
+            const bool fresh = stash_.insert(id, tree_.slotData(node, i));
+            panic_if(!fresh, "block ", id,
+                     " duplicated between tree and stash");
+            tree_.clearSlot(node, i);
+            ++extracted;
         }
         noteBucketRead(node, extracted);
     }

@@ -21,7 +21,9 @@ constexpr std::uint32_t kPlaced = 0xFFFFFFFFu;
 
 OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
     : cfg_(cfg), posMap_(pos_map),
-      tree_(cfg.levels(), cfg.z, cfg.arena),
+      tree_(cfg.levels(), cfg.z,
+            cfg.lazyInit ? BinaryTree::Storage::OnDemand
+                         : BinaryTree::Storage::Eager),
       stash_(cfg.stashCapacity, pos_map),
       rng_(cfg.seed ^ 0x0aa77aa55aa33aa1ULL)
 {
@@ -35,6 +37,9 @@ OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
         static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
     reserveScratch(slot_bound);
     const std::size_t level_slots = tree_.levels() + 2;
+    pathScratch_.resize(tree_.levels() + 1);
+    drainScratch_.resize(static_cast<std::size_t>(tree_.levels() + 1) *
+                         tree_.z());
     histScratch_.resize(level_slots, 0);
     levelStartScratch_.resize(level_slots, 0);
     levelCursorScratch_.resize(level_slots, 0);
@@ -54,14 +59,30 @@ OramScheme::reserveScratch(std::size_t slots)
 PRORAM_OBLIVIOUS PRORAM_HOT void
 OramScheme::drainPath(Leaf leaf)
 {
-    for (Level level{0}; level <= tree_.leafLevel(); ++level) {
-        tree_.drainBucket(tree_.nodeOnPath(leaf, level),
-                          [this](BlockId id, std::uint64_t data) {
-                              panic_if(!stash_.insert(id, data), "block ",
-                                       id,
-                                       " duplicated between tree and "
-                                       "stash");
+    // Three passes, so the path's cache misses overlap instead of
+    // forming one chain of dependent loads per bucket and per block.
+    // 1. Every bucket record of the path is requested up front.
+    const std::uint32_t depth = tree_.levels() + 1;
+    for (std::uint32_t l = 0; l < depth; ++l) {
+        pathScratch_[l] = tree_.nodeOnPath(leaf, Level{l});
+        tree_.prefetchBucket(pathScratch_[l]);
+    }
+    // 2. The buckets are emptied into the pair scratch, and each
+    //    block's position-map entry is requested as its id appears.
+    std::uint32_t drained = 0;
+    for (std::uint32_t l = 0; l < depth; ++l) {
+        tree_.drainBucket(pathScratch_[l],
+                          [this, &drained](BlockId id, std::uint64_t data) {
+                              drainScratch_[drained++] = {id, data};
+                              posMap_.prefetchEntry(id);
                           });
+    }
+    // 3. The blocks enter the stash in drain order: root to leaf, slot
+    //    order within a bucket - the order the goldens pin.
+    for (std::uint32_t k = 0; k < drained; ++k) {
+        const auto &[id, data] = drainScratch_[k];
+        panic_if(!stash_.insert(id, data), "block ", id,
+                 " duplicated between tree and stash");
     }
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "oram/config.hh"
@@ -145,9 +146,12 @@ class OramScheme
   protected:
     /**
      * Move every real block on path @p leaf into the stash, bucket by
-     * bucket from the root (Path ORAM's read, and the read half of
-     * Ring ORAM's scheduled eviction). Panics if a block is already
-     * stash-resident - a second copy in the stash or on this path.
+     * bucket from the root and in slot order within a bucket (Path
+     * ORAM's read, and the read half of Ring ORAM's scheduled
+     * eviction). The path's bucket records and the drained blocks'
+     * position-map entries are prefetched before the first insert.
+     * Panics if a block is already stash-resident - a second copy in
+     * the stash or on this path.
      */
     void drainPath(Leaf leaf);
 
@@ -175,6 +179,12 @@ class OramScheme
   private:
     /** Grow the per-slot scratch to cover @p slots stash slots. */
     void reserveScratch(std::size_t slots);
+
+    // drainPath scratch, sized from the tree geometry at construction.
+    /** The path's L+1 node indices, root first. */
+    std::vector<TreeIdx> pathScratch_;
+    /** Drained (id, payload) pairs; a path holds at most (L+1)*Z. */
+    std::vector<std::pair<BlockId, std::uint64_t>> drainScratch_;
 
     // evictGreedy scratch, pre-sized from tree geometry at
     // construction (see reserveScratch) so even the first paths

@@ -2,62 +2,57 @@
 
 #include <bit>
 
+#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
 
-std::uint32_t
-BucketRef::occupancyScan() const
-{
-    std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < tree_->z_; ++i) {
-        if (!isDummy(i))
-            ++n;
-    }
-    return n;
-}
-
 BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
-                       const ArenaOptions &arena)
+                       Storage storage)
     : levels_(levels), z_(z)
 {
     fatal_if(levels > 40, "tree too deep to simulate functionally");
     numBuckets_ = (2ULL << levels) - 1;
-    arena_ = ArenaBackend::make(arena, numBuckets_, z_);
-    chunkShift_ = arena_->chunkShift();
-    chunkMask_ = arena_->chunkBuckets() - 1;
-}
-
-void
-BinaryTree::clearSlot(TreeIdx node, std::uint32_t i)
-{
-    const std::uint64_t n = node.value();
-    const ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
-    if (l.ids == nullptr)
-        return; // implicit chunk: the slot is already dummy
-    const std::uint64_t at = (n & chunkMask_) * z_ + i;
-    if (l.ids[at] != kInvalidBlock) {
-        ++l.free[n & chunkMask_];
-        l.data[at] = 0;
+    numChunks_ = (numBuckets_ + kChunkMask) >> kChunkShift;
+    chunks_ = std::make_unique<std::uint64_t *[]>(numChunks_);
+    const std::uint64_t chunk_words = chunkWords();
+    if (storage == Storage::Eager) {
+        // One value-initialized block: zero is an empty bucket, so
+        // there is no fill pass, and the zeroing faults the pages in
+        // here rather than inside the first placements.
+        eager_.reset(new std::uint64_t[numChunks_ * chunk_words]());
+        for (std::uint64_t c = 0; c < numChunks_; ++c)
+            chunks_[c] = eager_.get() + c * chunk_words;
+        chunksMaterialized_ = numChunks_;
+        PRORAM_TRACE_EVENT("arena", "materializeAll", "chunks",
+                           numChunks_);
+    } else {
+        zeroChunk_.reset(new std::uint64_t[chunk_words]());
+        owned_ = std::make_unique<std::unique_ptr<std::uint64_t[]>[]>(
+            numChunks_);
+        for (std::uint64_t c = 0; c < numChunks_; ++c)
+            chunks_[c] = zeroChunk_.get();
     }
-    l.ids[at] = kInvalidBlock;
 }
 
-BlockId &
-BinaryTree::rawSlotId(TreeIdx node, std::uint32_t i)
+/**
+ * Reached from fillBucket / tryPlace on a write-back (or from a raw
+ * test setter). The allocation is deliberate hot-path work: its
+ * trigger is the public heap node index the server already observes
+ * (DESIGN.md Sec. 12), it happens at most once per chunk, and the
+ * alternative - allocating every chunk up front - is exactly the
+ * eager storage.
+ */
+PRORAM_HOT void
+BinaryTree::materialize(std::uint64_t chunk)
 {
-    const std::uint64_t n = node.value();
-    const ArenaBackend::Lanes l = arena_->materialize(n >> chunkShift_);
-    return l.ids[(n & chunkMask_) * z_ + i];
-}
-
-std::uint64_t &
-BinaryTree::rawSlotData(TreeIdx node, std::uint32_t i)
-{
-    const std::uint64_t n = node.value();
-    const ArenaBackend::Lanes l = arena_->materialize(n >> chunkShift_);
-    return l.data[(n & chunkMask_) * z_ + i];
+    // PRORAM_LINT_ALLOW(hot-alloc): once-per-chunk demand
+    // materialization keyed on a public tree coordinate
+    owned_[chunk].reset(new std::uint64_t[chunkWords()]());
+    chunks_[chunk] = owned_[chunk].get();
+    ++chunksMaterialized_;
+    PRORAM_TRACE_EVENT("arena", "materialize", "chunk", chunk);
 }
 
 Level
@@ -75,15 +70,13 @@ std::uint64_t
 BinaryTree::countRealBlocks() const
 {
     std::uint64_t n = 0;
-    const std::uint64_t chunk_slots =
-        static_cast<std::uint64_t>(arena_->chunkBuckets()) * z_;
-    for (std::uint64_t c = 0; c < arena_->numChunks(); ++c) {
-        const ArenaBackend::View v = arena_->view(c);
-        if (v.ids == nullptr)
-            continue; // implicit chunk: all-dummy by construction
-        for (std::uint64_t s = 0; s < chunk_slots; ++s) {
-            if (v.ids[s] != kInvalidBlock)
-                ++n;
+    for (std::uint64_t c = 0; c < numChunks_; ++c) {
+        if (!materialized(c))
+            continue; // the shared zero chunk: all dummy
+        for (std::uint64_t b = 0; b < kChunkBuckets; ++b) {
+            const std::uint64_t *rec = chunks_[c] + b * 2 * z_;
+            for (std::uint32_t i = 0; i < z_; ++i)
+                n += rec[i] != 0 ? 1 : 0;
         }
     }
     return n;

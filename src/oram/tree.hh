@@ -1,8 +1,7 @@
 /**
  * @file
- * The Path ORAM binary-tree storage: a chunked structure-of-arrays
- * slot arena living in (simulated) untrusted DRAM, behind a pluggable
- * storage backend (mem/arena.hh, DESIGN.md Sec. 12).
+ * The Path ORAM binary-tree storage: one contiguous record per bucket,
+ * living in (simulated) untrusted DRAM (DESIGN.md Sec. 12).
  *
  * Node numbering is heap order: node 0 is the root; node n has children
  * 2n+1 / 2n+2. Leaf label s in [0, 2^L) names the leaf reached by
@@ -12,17 +11,19 @@
  * own strong type (TreeIdx) distinct from the secret leaf labels that
  * select them - confusing the two is a compile error.
  *
- * Memory layout (DESIGN.md "Memory layout" / Sec. 12): buckets are
- * grouped into fixed-size chunks; within a chunk, bucket c slot i
- * lives at lane offset c*Z+i. Block ids and payload words are split
- * into two parallel lanes so the hot scans (readPath looking for real
- * blocks, occupancy checks) stream over one contiguous id run per
- * bucket and never touch payloads they do not copy. Per-bucket
- * free-slot counts are a third lane, making occupancy O(1). A chunk
- * that was never *written* is implicit: it reads as all-dummy without
- * existing in memory, which is what makes paper-scale (2^26-block)
- * trees affordable - reads never materialize, only tryPlace and the
- * raw test accessors do.
+ * Memory layout (DESIGN.md Sec. 12): bucket b is one record of 2Z
+ * words - its Z slot ids, then its Z payloads (48 B at Z=3), so a
+ * bucket costs one or two cache lines. A slot stores its block id
+ * plus one: an empty slot reads as zero, a zero-filled record is an
+ * empty bucket, and occupancy is a scan of the record's own id words.
+ * Records are grouped into chunks of kChunkBuckets consecutive
+ * buckets behind a directory of one pointer per chunk. An eager tree
+ * takes every chunk from one zero-initialized allocation made at
+ * construction. An on-demand tree (OramConfig::lazyInit) points every
+ * chunk at one shared zero chunk until the chunk's first write
+ * allocates it, which is what makes paper-scale (2^26-block) trees
+ * affordable: reads never allocate, only writes (tryPlace, fillBucket
+ * and the raw test setters) do.
  */
 
 #ifndef PRORAM_ORAM_TREE_HH
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "mem/arena.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
@@ -42,11 +42,9 @@ namespace proram
 class BinaryTree;
 
 /**
- * Lightweight view of one bucket inside the tree's slot arena. Cheap
- * to construct (a pointer + node index); mutating methods maintain the
- * bucket's free-slot count. The raw accessors exist for tests that
- * corrupt state deliberately - occupancy changes made through them are
- * not reflected in the free count (use occupancyScan() afterwards).
+ * Lightweight view of one bucket of the tree. Cheap to construct (a
+ * pointer + node index). The raw setters exist for tests that corrupt
+ * state deliberately.
  */
 class BucketRef
 {
@@ -57,33 +55,26 @@ class BucketRef
     std::uint64_t data(std::uint32_t i) const;
     bool isDummy(std::uint32_t i) const { return id(i) == kInvalidBlock; }
 
-    /** Real (non-dummy) blocks resident, from the free count (O(1)). */
+    /** Real (non-dummy) blocks resident (a scan of the Z ids). */
     std::uint32_t occupancy() const;
-
-    /**
-     * Real blocks resident by scanning the Z slots (O(Z)). Ground
-     * truth even after raw-slot corruption; the checked slow path the
-     * tests compare against occupancy().
-     */
-    std::uint32_t occupancyScan() const;
 
     /** Free slots available via tryPlace(). */
     std::uint32_t freeSlots() const;
 
     /**
      * Place a real block into the first dummy slot. @return false if
-     * the bucket is full (O(1) in that case).
+     * the bucket is full.
      */
     bool tryPlace(BlockId id, std::uint64_t data);
 
     /** Evict slot @p i back to dummy, releasing it for reuse. */
     void clearSlot(std::uint32_t i);
 
-    /** @name Raw slot words (test/corruption interface).
-     *  Writes bypass the free-slot bookkeeping; taking a reference
-     *  counts as a write and materializes the owning chunk. @{ */
-    BlockId &rawId(std::uint32_t i);
-    std::uint64_t &rawData(std::uint32_t i);
+    /** @name Raw slot writes (test/corruption interface).
+     *  Unlike tryPlace they may overwrite a real block or plant a
+     *  second copy; a write materializes the owning chunk. @{ */
+    void setRawId(std::uint32_t i, BlockId id);
+    void setRawData(std::uint32_t i, std::uint64_t data);
     /** @} */
 
   private:
@@ -97,25 +88,34 @@ class BucketRef
 };
 
 /**
- * The complete binary tree of buckets over the chunked slot arena.
- * Provides path geometry helpers used by the ORAM engine and by the
- * invariant checker.
+ * The complete binary tree of bucket records. Provides path geometry
+ * helpers used by the ORAM engine and by the invariant checker.
  *
- * Read accessors (slotId/slotData/freeSlots/occupancy) never
- * materialize: an implicit chunk answers all-dummy from the null
- * directory entry alone. Writes (tryPlace, fillBucket, rawId/rawData)
- * materialize the owning chunk on first touch; clearSlot and
- * drainBucket of an implicit chunk are no-ops (its slots are already
- * dummy).
+ * Read accessors (record/slotId/slotData/occupancy/freeSlots) never
+ * allocate: an unwritten chunk of an on-demand tree answers from the
+ * shared zero chunk. Writes (tryPlace, fillBucket, the raw setters)
+ * allocate the owning chunk on first touch; clearSlot and drainBucket
+ * only ever write a slot that holds a block, so they never allocate.
  */
 class BinaryTree
 {
   public:
-    /** @param levels L: root is level 0, leaves level L.
-     *  @param arena storage backend selection (mem/arena.hh); the
-     *  default resolves $PRORAM_ARENA and falls back to dense. */
+    /** log2 of the buckets per chunk: 256 buckets, 12 KiB of records
+     *  at Z=3. */
+    static constexpr std::uint32_t kChunkShift = 8;
+    static constexpr std::uint64_t kChunkBuckets = 1ULL << kChunkShift;
+    static constexpr std::uint64_t kChunkMask = kChunkBuckets - 1;
+
+    /** How chunks are backed (OramConfig::lazyInit picks OnDemand). */
+    enum class Storage : std::uint8_t
+    {
+        Eager,    ///< every chunk from one allocation at construction
+        OnDemand, ///< a chunk is allocated by its first write
+    };
+
+    /** @param levels L: root is level 0, leaves level L. */
     BinaryTree(std::uint32_t levels, std::uint32_t z,
-               const ArenaOptions &arena = {});
+               Storage storage = Storage::Eager);
 
     std::uint32_t levels() const { return levels_; }
     /** One past the deepest level: Level{0} .. leafLevel(). */
@@ -123,9 +123,6 @@ class BinaryTree
     std::uint64_t numLeaves() const { return 1ULL << levels_; }
     std::uint64_t numBuckets() const { return numBuckets_; }
     std::uint32_t z() const { return z_; }
-
-    /** The storage backend (geometry + materialization telemetry). */
-    const ArenaBackend &arena() const { return *arena_; }
 
     /** Heap index of the bucket at @p level on path @p leaf. */
     TreeIdx nodeOnPath(Leaf leaf, Level level) const
@@ -150,43 +147,53 @@ class BinaryTree
         return BucketRef(const_cast<BinaryTree *>(this), node);
     }
 
-    /** @name Arena hot-path accessors (chunked; bucket b slot i at
-     *  lane offset (b mod chunk)*Z+i of chunk b/chunk). @{ */
-    BlockId slotId(TreeIdx node, std::uint32_t i) const
+    /** @name Bucket records (hot path). @{ */
+
+    /** Bucket @p node's record: Z stored ids (block id + 1, 0 for a
+     *  dummy slot), then Z payloads. Never allocates. */
+    const std::uint64_t *record(TreeIdx node) const
     {
         const std::uint64_t n = node.value();
-        const ArenaBackend::View v = arena_->view(n >> chunkShift_);
-        if (v.ids == nullptr)
-            return kInvalidBlock;
-        return v.ids[(n & chunkMask_) * z_ + i];
+        return chunks_[n >> kChunkShift] + (n & kChunkMask) * 2 * z_;
+    }
+
+    BlockId slotId(TreeIdx node, std::uint32_t i) const
+    {
+        return decodeId(record(node)[i]);
     }
     std::uint64_t slotData(TreeIdx node, std::uint32_t i) const
     {
-        const std::uint64_t n = node.value();
-        const ArenaBackend::View v = arena_->view(n >> chunkShift_);
-        if (v.ids == nullptr)
-            return 0;
-        return v.data[(n & chunkMask_) * z_ + i];
+        return record(node)[z_ + i];
     }
 
-    /** Free slots of @p node (O(1); z for an implicit chunk). */
-    std::uint32_t freeSlots(TreeIdx node) const
-    {
-        const std::uint64_t n = node.value();
-        const ArenaBackend::View v = arena_->view(n >> chunkShift_);
-        if (v.ids == nullptr)
-            return z_;
-        return v.free[n & chunkMask_];
-    }
-    /** Real blocks in @p node from the free count (O(1)). */
+    /** Real blocks in @p node (a scan of its Z stored ids). */
     std::uint32_t occupancy(TreeIdx node) const
     {
-        return z_ - freeSlots(node);
+        const std::uint64_t *rec = record(node);
+        std::uint32_t n = 0;
+        for (std::uint32_t i = 0; i < z_; ++i)
+            n += rec[i] != 0 ? 1 : 0;
+        return n;
+    }
+    std::uint32_t freeSlots(TreeIdx node) const
+    {
+        return z_ - occupancy(node);
+    }
+
+    /**
+     * Start loading bucket @p node's record into the cache, for
+     * writing. A record may straddle two lines, so both ends are
+     * prefetched. Never allocates.
+     */
+    PRORAM_OBLIVIOUS PRORAM_HOT void prefetchBucket(TreeIdx node) const
+    {
+        const std::uint64_t *rec = record(node);
+        __builtin_prefetch(rec, 1);
+        __builtin_prefetch(rec + 2 * z_ - 1, 1);
     }
 
     /** Place a block in the first dummy slot of @p node; false if the
-     *  bucket is full (O(1) in that case). Materializes the owning
-     *  chunk on first touch. */
+     *  bucket is full. Allocates the owning chunk on first write. */
     bool tryPlace(TreeIdx node, BlockId id, std::uint64_t data)
     {
         return fillBucket(node, 1, [&](BlockId &slot_id,
@@ -196,71 +203,59 @@ class BinaryTree
                }) == 1;
     }
 
-    /** Evict slot @p i of @p node back to dummy. */
-    void clearSlot(TreeIdx node, std::uint32_t i);
+    /** Evict slot @p i of @p node back to dummy (a no-op on a dummy
+     *  slot). */
+    void clearSlot(TreeIdx node, std::uint32_t i)
+    {
+        std::uint64_t *rec = mutableRecord(node);
+        if (rec[i] == 0)
+            return;
+        rec[i] = 0;
+        rec[z_ + i] = 0;
+    }
 
     /**
      * Hand every real block of @p node to fn(id, data) in slot order,
-     * then reset the bucket to all-dummy with one free-count write.
-     * An implicit chunk or an empty bucket costs one free-count read.
+     * zeroing each slot it hands over. An empty bucket - every bucket
+     * of an unwritten chunk - is only read.
      */
     template <typename Fn>
     PRORAM_OBLIVIOUS PRORAM_HOT void drainBucket(TreeIdx node, Fn &&fn)
     {
-        const std::uint64_t n = node.value();
-        const ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
-        if (l.ids == nullptr || l.free[n & chunkMask_] == z_)
-            return;
-        BlockId *slot_ids = l.ids + (n & chunkMask_) * z_;
-        std::uint64_t *slot_data = l.data + (n & chunkMask_) * z_;
+        std::uint64_t *rec = mutableRecord(node);
         for (std::uint32_t i = 0; i < z_; ++i) {
-            if (slot_ids[i] == kInvalidBlock)
+            if (rec[i] == 0) // dummy slot
                 continue;
-            fn(slot_ids[i], slot_data[i]);
-            slot_ids[i] = kInvalidBlock;
-            slot_data[i] = 0;
+            fn(decodeId(rec[i]), rec[z_ + i]);
+            rec[i] = 0;
+            rec[z_ + i] = 0;
         }
-        l.free[n & chunkMask_] = z_;
     }
 
     /**
      * Fill @p node's dummy slots in slot order with up to @p count
-     * blocks, each produced by next(id, data) writing the slot's id
-     * and payload in place - the placements repeated tryPlace calls
-     * would make. @return how many were placed (0 when the bucket is
-     * full or @p count is 0, without materializing anything);
-     * materializes the owning chunk on the first real placement.
+     * blocks, each produced by next(id, data) - the placements
+     * repeated tryPlace calls would make. @return how many were
+     * placed (0 when the bucket is full or @p count is 0). With
+     * @p count > 0 an unwritten chunk is allocated first: its bucket
+     * is empty, so a placement follows.
      */
     template <typename Next>
     PRORAM_OBLIVIOUS PRORAM_HOT std::uint32_t
     fillBucket(TreeIdx node, std::uint32_t count, Next &&next)
     {
-        const std::uint64_t n = node.value();
-        ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
-        if (count == 0 ||
-            (l.ids != nullptr && l.free[n & chunkMask_] == 0))
+        if (count == 0)
             return 0;
-        if (l.ids == nullptr) {
-            // First write into an implicit chunk: the bucket is
-            // all-dummy (it cannot be full), so a placement is
-            // guaranteed and the materialization cost is paid by an
-            // insertion, never a read.
-            l = arena_->materialize(n >> chunkShift_);
-        }
-        std::uint32_t &free = l.free[n & chunkMask_];
-        const std::uint32_t want = count < free ? count : free;
-        BlockId *slot_ids = l.ids + (n & chunkMask_) * z_;
-        std::uint64_t *slot_data = l.data + (n & chunkMask_) * z_;
+        std::uint64_t *rec = writableRecord(node);
         std::uint32_t placed = 0;
-        for (std::uint32_t i = 0; placed < want; ++i) {
-            panic_if(i == z_, "bucket free-slot count ", free,
-                     " but no dummy slot");
-            if (slot_ids[i] != kInvalidBlock)
+        for (std::uint32_t i = 0; i < z_ && placed < count; ++i) {
+            if (rec[i] != 0) // real block
                 continue;
-            next(slot_ids[i], slot_data[i]);
+            BlockId id = kInvalidBlock;
+            next(id, rec[z_ + i]);
+            rec[i] = encodeId(id);
             ++placed;
         }
-        free -= placed;
         return placed;
     }
 
@@ -273,25 +268,88 @@ class BinaryTree
     Level commonLevel(Leaf a, Leaf b) const;
 
     /** Total real blocks stored in the tree, by scanning the
-     *  materialized chunks (O(resident slots); tests only - reflects
-     *  raw-slot corruption). */
+     *  allocated chunks (tests and checks only). */
     std::uint64_t countRealBlocks() const;
+
+    /** @name Chunk geometry and materialization telemetry (the
+     *  `arena*` stats and trace events). @{ */
+    std::uint64_t numChunks() const { return numChunks_; }
+    /** Record bytes of one chunk. */
+    std::uint64_t chunkBytes() const
+    {
+        return chunkWords() * sizeof(std::uint64_t);
+    }
+    bool materialized(std::uint64_t chunk) const
+    {
+        return chunks_[chunk] != zeroChunk_.get();
+    }
+    std::uint64_t chunksMaterialized() const
+    {
+        return chunksMaterialized_;
+    }
+    /** Record bytes of materialized chunks (chunk granularity). */
+    std::uint64_t bytesResident() const
+    {
+        return chunksMaterialized_ * chunkBytes();
+    }
+    /** Record bytes if every chunk were materialized (eager cost). */
+    std::uint64_t bytesTotal() const { return numChunks_ * chunkBytes(); }
+    /** @} */
 
   private:
     friend class BucketRef;
 
-    /** Writable slot words; materializes the owning chunk. */
-    BlockId &rawSlotId(TreeIdx node, std::uint32_t i);
-    std::uint64_t &rawSlotData(TreeIdx node, std::uint32_t i);
+    static std::uint64_t encodeId(BlockId id) { return id.value() + 1; }
+    /** The inverse of encodeId; a stored 0 decodes to kInvalidBlock. */
+    static BlockId decodeId(std::uint64_t stored)
+    {
+        return BlockId{stored - 1};
+    }
+
+    std::uint64_t chunkWords() const { return kChunkBuckets * 2 * z_; }
+
+    /** Record of @p node for writes that only ever touch a real
+     *  block's slots (never one of the shared zero chunk). */
+    std::uint64_t *mutableRecord(TreeIdx node)
+    {
+        return const_cast<std::uint64_t *>(record(node));
+    }
+
+    /** Record of @p node for any write: allocates the owning chunk
+     *  if it is still the shared zero chunk. */
+    std::uint64_t *writableRecord(TreeIdx node)
+    {
+        const std::uint64_t chunk = node.value() >> kChunkShift;
+        if (!materialized(chunk))
+            materialize(chunk);
+        return mutableRecord(node);
+    }
+
+    /** First write into an unwritten chunk of an on-demand tree. */
+    void materialize(std::uint64_t chunk);
+
+    void setRawId(TreeIdx node, std::uint32_t i, BlockId id)
+    {
+        writableRecord(node)[i] = encodeId(id);
+    }
+    void setRawData(TreeIdx node, std::uint32_t i, std::uint64_t data)
+    {
+        writableRecord(node)[z_ + i] = data;
+    }
 
     std::uint32_t levels_;
     std::uint32_t z_;
     std::uint64_t numBuckets_;
-    /** Chunked slot-lane storage (dense / sparse / mmap). */
-    std::unique_ptr<ArenaBackend> arena_;
-    /** Cached arena geometry (node -> chunk, node -> in-chunk). */
-    std::uint32_t chunkShift_;
-    std::uint64_t chunkMask_;
+    std::uint64_t numChunks_;
+    /** Chunk directory: one record-array pointer per chunk. */
+    std::unique_ptr<std::uint64_t *[]> chunks_;
+    /** Eager: every chunk's records, back to back. */
+    std::unique_ptr<std::uint64_t[]> eager_;
+    /** On demand: the read-only chunk unwritten chunks point at, and
+     *  the chunks allocated so far (null until written). */
+    std::unique_ptr<std::uint64_t[]> zeroChunk_;
+    std::unique_ptr<std::unique_ptr<std::uint64_t[]>[]> owned_;
+    std::uint64_t chunksMaterialized_ = 0;
 };
 
 inline std::uint32_t
@@ -336,16 +394,16 @@ BucketRef::clearSlot(std::uint32_t i)
     tree_->clearSlot(node_, i);
 }
 
-inline BlockId &
-BucketRef::rawId(std::uint32_t i)
+inline void
+BucketRef::setRawId(std::uint32_t i, BlockId id)
 {
-    return tree_->rawSlotId(node_, i);
+    tree_->setRawId(node_, i, id);
 }
 
-inline std::uint64_t &
-BucketRef::rawData(std::uint32_t i)
+inline void
+BucketRef::setRawData(std::uint32_t i, std::uint64_t data)
 {
-    return tree_->rawSlotData(node_, i);
+    tree_->setRawData(node_, i, data);
 }
 
 } // namespace proram

@@ -9,13 +9,27 @@
 namespace proram
 {
 
-UnifiedOram::UnifiedOram(const OramConfig &cfg)
-    : cfg_(cfg), space_(cfg),
-      posMap_(space_.numTotalBlocks(),
-              static_cast<Leaf>(1ULL << cfg.levels())),
-      oram_(makeOramScheme(cfg_, posMap_)), plb_(cfg.plbEntries)
+namespace
 {
-    cfg_.validate();
+
+/** @p cfg, after validate(): every member below is built from the
+ *  config, and a bad one (a zero position-map fanout) would otherwise
+ *  fail as undefined behaviour before the body could reject it. */
+const OramConfig &
+validated(const OramConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
+} // namespace
+
+UnifiedOram::UnifiedOram(const OramConfig &cfg)
+    : cfg_(validated(cfg)), space_(cfg_),
+      posMap_(space_.numTotalBlocks(),
+              static_cast<Leaf>(1ULL << cfg_.levels())),
+      oram_(makeOramScheme(cfg_, posMap_)), plb_(cfg_.plbEntries)
+{
 }
 
 void
@@ -52,7 +66,7 @@ UnifiedOram::initialize(std::uint32_t static_sb_size)
         // Leaves are assigned eagerly (the position map is flat and
         // O(total) regardless) but nothing is placed: every block is
         // virtual until ensureCreated() materializes it on first
-        // access, so an untouched subtree never costs arena chunks.
+        // access, so an untouched subtree never costs a tree chunk.
         created_.assign((total + 63) / 64, 0);
     } else {
         for (BlockId id{0}; id.value() < total; ++id)

@@ -54,6 +54,16 @@ struct Fixture
     OramController ctl;
 };
 
+TEST(Controller, InvalidConfigIsFatal)
+{
+    // The controller builds its UnifiedOram first, which validates
+    // before any fanout arithmetic runs.
+    CacheHierarchy hier(hierCfg());
+    OramConfig cfg = ctlCfg();
+    cfg.posMapEntryBytes = 0;
+    EXPECT_THROW(OramController(cfg, ControllerConfig{}, hier), SimFatal);
+}
+
 TEST(Controller, UseBeforeConfigurePanics)
 {
     CacheHierarchy hier(hierCfg());

@@ -6,7 +6,7 @@
  *
  * This is the guard for "the memory layout is an optimization, not a
  * behavior change": the dense stash's insertion-ordered iteration,
- * the slot arena's first-dummy placement, and the array-backed PLB
+ * the bucket records' first-dummy placement, and the array-backed PLB
  * LRU must make bit-identical decisions to the containers they
  * replaced. Any divergence in eviction order, PLB victim choice, or
  * remap visibility shows up here as a changed count.
@@ -14,9 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "mem/arena.hh"
 #include "oram/evict_kernel.hh"
 #include "sim/experiment.hh"
 #include "sim/system_config.hh"
@@ -139,40 +136,6 @@ TEST(GoldenStats, Fig08TinyPeriodicModeMatchesCapture)
         EXPECT_EQ(r.prefetchMisses, g.prefetchMisses);
         EXPECT_EQ(r.merges, g.merges);
         EXPECT_EQ(r.breaks, g.breaks);
-    }
-}
-
-TEST(GoldenStats, GoldensHoldUnderEveryArenaBackend)
-{
-    // The slot arena's storage backend is a memory-layout choice,
-    // not a behavior change: lazily materialized chunks must read
-    // exactly like the dense lanes they replace, so the full golden
-    // grid re-runs bit-identically on every backend. Small chunks
-    // on purpose - plenty of chunk-boundary and first-touch traffic.
-    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
-    std::vector<ArenaOptions> backends;
-    ArenaOptions sparse;
-    sparse.kind = ArenaKind::Sparse;
-    sparse.chunkBuckets = 64;
-    backends.push_back(sparse);
-#if defined(__linux__)
-    ArenaOptions mm;
-    mm.kind = ArenaKind::Mmap;
-    mm.chunkBuckets = 128;
-    backends.push_back(mm);
-#endif
-    for (const ArenaOptions &arena : backends) {
-        for (const Golden &g : kGoldens) {
-            const SimResult r = exp.runWith(
-                g.scheme,
-                [&arena](SystemConfig &cfg) { cfg.oram.arena = arena; },
-                [&] {
-                    return makeGenerator(profileByName(g.profile), 0.02);
-                });
-            SCOPED_TRACE(std::string(arenaKindName(arena.kind)) + "/" +
-                         g.profile + "/" + r.scheme);
-            expectGolden(g, r);
-        }
     }
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Large-tree smoke: the sparse arena plus lazy initialization must
- * carry trees far beyond what the dense layout can hold. The
- * always-run case exercises the full lazy + sparse drive at 2^20
+ * Large-tree smoke: lazy initialization, with the on-demand tree
+ * storage it selects, must carry trees far beyond what an eager tree
+ * can hold. The always-run case exercises the full lazy drive at 2^20
  * data blocks; the 2^24 case runs where PRORAM_LARGE_SMOKE is set
- * (CI runs it under a ulimit the dense layout cannot satisfy) and
- * the paper-scale 2^26 case where PRORAM_LARGE_SMOKE=26.
+ * (CI runs it under a ulimit an eager tree cannot satisfy) and the
+ * paper-scale 2^26 case where PRORAM_LARGE_SMOKE=26.
  */
 
 #include <gtest/gtest.h>
@@ -47,7 +47,6 @@ largeCfg(std::uint64_t data_blocks)
     c.stashCapacity = 400;
     c.seed = 7;
     c.lazyInit = true;
-    c.arena.kind = ArenaKind::Sparse;
     return c;
 }
 
@@ -62,8 +61,8 @@ tinyHier()
 
 /**
  * Drive @p accesses mixed reads/writes over a lazily initialized
- * sparse tree of @p data_blocks and check payload round-trips, the
- * virtual-residency read-as-zero contract, the arena's residency
+ * on-demand tree of @p data_blocks and check payload round-trips, the
+ * virtual-residency read-as-zero contract, the tree's residency
  * accounting and (when asked) full structural integrity.
  */
 void
@@ -75,8 +74,7 @@ driveSparseLazy(std::uint64_t data_blocks, std::uint64_t accesses,
     ctl.configureBaseline();
 
     const BinaryTree &tree = ctl.oram().engine().tree();
-    ASSERT_STREQ(tree.arena().name(), "sparse");
-    ASSERT_EQ(tree.arena().chunksMaterialized(), 0u);
+    ASSERT_EQ(tree.chunksMaterialized(), 0u); // on-demand storage
 
     // A block never touched is virtually resident with payload 0.
     std::uint64_t got = ~0ULL;
@@ -109,21 +107,21 @@ driveSparseLazy(std::uint64_t data_blocks, std::uint64_t accesses,
         EXPECT_EQ(v, val);
     }
 
-    // Sparse residency: something materialized, the byte accounting
-    // is chunk-granular, and the tree is still mostly implicit.
-    const ArenaBackend &arena = tree.arena();
-    EXPECT_GT(arena.chunksMaterialized(), 0u);
-    EXPECT_EQ(arena.bytesResident(),
-              arena.chunksMaterialized() * arena.chunkBytes());
-    EXPECT_LT(arena.bytesResident(), arena.bytesTotal() / 4);
+    // On-demand residency: something was allocated, the byte
+    // accounting is chunk-granular, and most chunks are still the
+    // shared zero chunk.
+    EXPECT_GT(tree.chunksMaterialized(), 0u);
+    EXPECT_EQ(tree.bytesResident(),
+              tree.chunksMaterialized() * tree.chunkBytes());
+    EXPECT_LT(tree.bytesResident(), tree.bytesTotal() / 4);
 
     // The telemetry reaches the controller's stat group (and from
     // there the proram-metrics-v1 document).
     const stats::StatGroup g = ctl.buildStatGroup();
     EXPECT_EQ(g.get("arenaChunksMaterialized"),
-              static_cast<double>(arena.chunksMaterialized()));
+              static_cast<double>(tree.chunksMaterialized()));
     EXPECT_EQ(g.get("arenaBytesResident"),
-              static_cast<double>(arena.bytesResident()));
+              static_cast<double>(tree.bytesResident()));
     EXPECT_GT(obs::peakRssBytes(), 0u);
 
     if (check_integrity) {
@@ -140,10 +138,10 @@ TEST(LargeTreeSmoke, SixteenMillionBlocksUnderMemoryCap)
 {
     if (!largeSmokeEnabled())
         GTEST_SKIP() << "set PRORAM_LARGE_SMOKE=1 to run";
-    // CI runs this under `ulimit -v` tight enough that the dense
-    // layout (~840 MB of lanes at 2^24 blocks) cannot even
+    // CI runs this under `ulimit -v` tight enough that an eager tree
+    // (~805 MB of bucket records at 2^24 blocks) cannot even
     // construct; integrity is skipped (the full-tree scan is what
-    // the sparse layout lets us avoid paying).
+    // on-demand storage lets us avoid paying).
     driveSparseLazy(1ULL << 24, 400, /*check_integrity=*/false);
 }
 

@@ -267,24 +267,23 @@ TEST(SchemeConformance, SerialRunMatchesQueueDrainPerScheme)
     }
 }
 
-/** The lazily initialized sparse-arena variant of @p kind's config. */
+/** The lazily initialized (on-demand tree) variant of @p kind's
+ *  config. */
 SystemConfig
 sparseLazyConfig(SchemeKind kind, MemScheme scheme)
 {
     SystemConfig cfg = smallConfig(kind);
     cfg.scheme = scheme;
     cfg.oram.lazyInit = true;
-    cfg.oram.arena.kind = ArenaKind::Sparse;
-    cfg.oram.arena.chunkBuckets = 16;
     return cfg;
 }
 
 TEST(SchemeConformance, SparseLazyMatchesEagerDense)
 {
-    // The sparse arena + lazy initialization must be invisible to the
-    // drive semantics: every request observes exactly the payloads of
-    // the eager dense run, first-touch accounting stays exact, and the
-    // invariants hold.
+    // Lazy initialization over on-demand tree storage must be
+    // invisible to the drive semantics: every request observes exactly
+    // the payloads of the eager run, first-touch accounting stays
+    // exact, and the invariants hold.
     const std::vector<TraceRecord> records =
         makeTrace(1500, 1ULL << 12, 0xFACADE);
     for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
@@ -299,14 +298,13 @@ TEST(SchemeConformance, SparseLazyMatchesEagerDense)
         sys.runQueue(records, &payloads);
         EXPECT_EQ(payloads, expect) << schemeKindName(kind);
 
-        const ArenaBackend &arena =
-            sys.controller()->oram().engine().tree().arena();
+        const BinaryTree &tree = sys.controller()->oram().engine().tree();
         std::uint64_t seen = 0;
-        for (std::uint64_t c = 0; c < arena.numChunks(); ++c)
-            seen += arena.materialized(c) ? 1 : 0;
+        for (std::uint64_t c = 0; c < tree.numChunks(); ++c)
+            seen += tree.materialized(c) ? 1 : 0;
         EXPECT_GT(seen, 0u);
-        EXPECT_EQ(arena.chunksMaterialized(), seen);
-        EXPECT_EQ(arena.bytesResident(), seen * arena.chunkBytes());
+        EXPECT_EQ(tree.chunksMaterialized(), seen);
+        EXPECT_EQ(tree.bytesResident(), seen * tree.chunkBytes());
         expectIntact(sys, std::string("sparse_lazy_") +
                               schemeKindName(kind));
     }
@@ -323,11 +321,10 @@ TEST(SchemeConformance, SparseLazyChunkSetIsDeterministic)
         System sys(
             sparseLazyConfig(SchemeKind::Path, MemScheme::OramBaseline));
         sys.runQueue(records, nullptr);
-        const ArenaBackend &arena =
-            sys.controller()->oram().engine().tree().arena();
-        std::vector<bool> chunks(arena.numChunks());
-        for (std::uint64_t c = 0; c < arena.numChunks(); ++c)
-            chunks[c] = arena.materialized(c);
+        const BinaryTree &tree = sys.controller()->oram().engine().tree();
+        std::vector<bool> chunks(tree.numChunks());
+        for (std::uint64_t c = 0; c < tree.numChunks(); ++c)
+            chunks[c] = tree.materialized(c);
         return chunks;
     };
     EXPECT_EQ(run(), run());

@@ -58,7 +58,8 @@ TEST(Integrity, DetectsLostBlock)
     const SlotLoc loc = findSlot(u, 5_id);
     ASSERT_TRUE(loc.found);
     // Drop the block behind the bookkeeping's back (raw corruption).
-    u.engine().tree().bucket(TreeIdx{loc.node}).rawId(loc.i) = kInvalidBlock;
+    u.engine().tree().bucket(TreeIdx{loc.node}).setRawId(loc.i,
+                                                         kInvalidBlock);
     const auto rep = checkIntegrity(u);
     EXPECT_FALSE(rep.ok);
     bool found = false;

@@ -81,13 +81,11 @@ realSlotsOnPath(const BinaryTree &t, Leaf leaf)
     return out;
 }
 
-/** Overwrite the real block at @p at with @p id. Replacing a real
- *  block (not filling a dummy) keeps the bucket's free count exact,
- *  so the read cannot skip the bucket as empty. */
+/** Overwrite the real block at @p at with @p id. */
 void
 plantCopy(BinaryTree &t, std::pair<TreeIdx, std::uint32_t> at, BlockId id)
 {
-    t.bucket(at.first).rawId(at.second) = id;
+    t.bucket(at.first).setRawId(at.second, id);
 }
 
 /** A leaf whose path still holds a real block. */
@@ -284,6 +282,38 @@ TEST(PathOram, WritePathPlacesDeepestFirst)
     const BinaryTree &t = f.oram.tree();
     EXPECT_EQ(t.bucket(t.nodeOnPath(target, t.leafLevel())).occupancy(),
               t.z());
+}
+
+TEST(PathOram, ReadPathStashesRootToLeafInSlotOrder)
+{
+    // Known blocks at known levels and slots of one path: two in one
+    // bucket with a dummy slot between them, and empty buckets between
+    // the occupied ones. readPath must stash them root to leaf, in slot
+    // order within a bucket - the order the goldens pin.
+    Fixture f;
+    BinaryTree &t = f.oram.tree();
+    const Leaf leaf{5};
+    const auto plant = [&](std::uint32_t level, std::uint32_t slot,
+                           BlockId id) {
+        f.posMap.setLeaf(id, leaf);
+        BucketRef b = t.bucket(t.nodeOnPath(leaf, Level{level}));
+        b.setRawId(slot, id);
+        b.setRawData(slot, id.value() * 10);
+    };
+    plant(t.levels(), 1, 3_id);
+    plant(2, 2, 99_id);
+    plant(0, 2, 40_id);
+    plant(2, 0, 7_id);
+    f.oram.readPath(leaf);
+    const BlockId order[] = {40_id, 7_id, 99_id, 3_id};
+    const Stash &s = f.oram.stash();
+    ASSERT_EQ(s.slotCount(), 4u);
+    for (std::uint32_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(s.idLane()[k], order[k]) << "stash slot " << k;
+        EXPECT_EQ(s.dataLane()[k], order[k].value() * 10);
+        EXPECT_EQ(s.leafLane()[k], leaf);
+    }
+    EXPECT_EQ(t.countRealBlocks(), 0u);
 }
 
 TEST(PathOram, ReadPathPanicsOnSecondCopyOnThePath)

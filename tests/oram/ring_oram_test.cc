@@ -87,13 +87,50 @@ realSlotsOnPath(const BinaryTree &t, Leaf leaf)
     return out;
 }
 
-/** Overwrite the real block at @p at with @p id. Replacing a real
- *  block (not filling a dummy) keeps the bucket's free count exact,
- *  so the read cannot skip the bucket as empty. */
+/** Overwrite the real block at @p at with @p id. */
 void
 plantCopy(BinaryTree &t, std::pair<TreeIdx, std::uint32_t> at, BlockId id)
 {
-    t.bucket(at.first).rawId(at.second) = id;
+    t.bucket(at.first).setRawId(at.second, id);
+}
+
+TEST(RingOram, ScheduledEvictionDrainsRootToLeafInSlotOrder)
+{
+    // PathOram.ReadPathStashesRootToLeafInSlotOrder for the read half
+    // of Ring's scheduled eviction. The planted blocks map to a leaf
+    // that shares only the root with the eviction path, so the greedy
+    // write-back pools all six at level 0 in drain order and fills
+    // the root from the top of the pool: the root ends up holding the
+    // last three drained (last first) and the first three stay in the
+    // stash in drain order.
+    Fixture f;
+    BinaryTree &t = f.oram.tree();
+    const Leaf ev = f.oram.evictionLeafAt(0); // the first scheduled pass
+    const Leaf away{
+        static_cast<std::uint32_t>(ev.value() ^ (t.numLeaves() / 2))};
+    const auto plant = [&](std::uint32_t level, std::uint32_t slot,
+                           BlockId id) {
+        f.posMap.setLeaf(id, away);
+        t.bucket(t.nodeOnPath(ev, Level{level})).setRawId(slot, id);
+    };
+    plant(t.levels(), 1, 250_id);
+    plant(2, 2, 99_id);
+    plant(t.levels() - 2, 1, 12_id);
+    plant(0, 2, 40_id);
+    plant(t.levels(), 0, 3_id);
+    plant(2, 0, 7_id);
+    // Drain order: 40, 7, 99, 12, 3, 250.
+    EXPECT_EQ(f.oram.dummyAccess(), ev);
+    const BlockId stashed[] = {40_id, 7_id, 99_id};
+    const Stash &s = f.oram.stash();
+    ASSERT_EQ(s.slotCount(), 3u);
+    for (std::uint32_t k = 0; k < 3; ++k)
+        EXPECT_EQ(s.idLane()[k], stashed[k]) << "stash slot " << k;
+    const BucketRef root = t.bucket(0_node);
+    EXPECT_EQ(root.id(0), 250_id);
+    EXPECT_EQ(root.id(1), 3_id);
+    EXPECT_EQ(root.id(2), 12_id);
+    EXPECT_EQ(t.countRealBlocks(), 3u);
 }
 
 TEST(RingOram, ReverseLexSchedulePermutesTheLeaves)

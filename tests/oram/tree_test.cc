@@ -1,4 +1,4 @@
-/** @file Unit tests for the binary-tree slot-arena storage. */
+/** @file Unit tests for the binary tree's bucket-record storage. */
 
 #include "oram/tree.hh"
 
@@ -53,38 +53,36 @@ TEST(Bucket, ClearSlotIsIdempotent)
     BucketRef b = t.bucket(0_node);
     b.tryPlace(5_id, 0);
     b.clearSlot(0);
-    b.clearSlot(0); // clearing a dummy must not inflate the free count
+    b.clearSlot(0); // clearing a dummy must not free a second slot
     EXPECT_EQ(b.freeSlots(), 2u);
     EXPECT_EQ(b.occupancy(), 0u);
-}
-
-TEST(Bucket, OccupancyScanMatchesCountThenDetectsRawCorruption)
-{
-    BinaryTree t(1, 4);
-    BucketRef b = t.bucket(1_node);
-    b.tryPlace(1_id, 0);
-    b.tryPlace(2_id, 0);
-    EXPECT_EQ(b.occupancyScan(), b.occupancy());
-    // Corrupt a slot behind the bookkeeping's back: the O(1) count is
-    // now stale and only the checked scan sees the truth.
-    b.rawId(0) = kInvalidBlock;
-    EXPECT_EQ(b.occupancy(), 2u);
-    EXPECT_EQ(b.occupancyScan(), 1u);
 }
 
 TEST(Tree, ArenaLayoutIsBucketMajor)
 {
     BinaryTree t(2, 3);
     t.bucket(4_node).tryPlace(42_id, 9);
-    // Bucket b slot i lives at lane offset (b mod chunk)*Z+i of its
-    // chunk; node 4 fits inside the default first chunk, so the raw
-    // lane view and the typed accessors must agree.
-    const ArenaBackend::View v = t.arena().view(0);
-    ASSERT_NE(v.ids, nullptr);
-    EXPECT_EQ(v.ids[4 * 3 + 0], 42_id);
-    EXPECT_EQ(v.data[4 * 3 + 0], 9u);
+    t.bucket(4_node).tryPlace(0_id, 7);
+    // Bucket b is one record of Z stored ids (id + 1, so block 0 is
+    // not an empty slot) then Z payloads, right behind bucket b-1's.
+    const std::uint64_t *rec = t.record(4_node);
+    EXPECT_EQ(rec, t.record(3_node) + 2 * 3);
+    EXPECT_EQ(rec[0], 43u);
+    EXPECT_EQ(rec[1], 1u);
+    EXPECT_EQ(rec[2], 0u);
+    EXPECT_EQ(rec[3], 9u);
+    EXPECT_EQ(rec[4], 7u);
+    EXPECT_EQ(rec[5], 0u);
     EXPECT_EQ(t.slotId(4_node, 0), 42_id);
+    EXPECT_EQ(t.slotId(4_node, 1), 0_id);
+    EXPECT_EQ(t.slotId(4_node, 2), kInvalidBlock);
     EXPECT_EQ(t.slotData(4_node, 0), 9u);
+    // Clearing a slot zeroes both of its words: an empty bucket is an
+    // all-zero record.
+    t.clearSlot(4_node, 0);
+    t.clearSlot(4_node, 1);
+    for (std::uint32_t w = 0; w < 2 * 3; ++w)
+        EXPECT_EQ(rec[w], 0u) << "word " << w;
 }
 
 TEST(Tree, GeometryCounts)
@@ -183,21 +181,66 @@ TEST(Tree, CountRealBlocks)
     EXPECT_EQ(t.countRealBlocks(), 2u);
 }
 
-ArenaOptions
-sparseOpts(std::uint32_t chunk_buckets)
+constexpr BinaryTree::Storage kEager = BinaryTree::Storage::Eager;
+constexpr BinaryTree::Storage kOnDemand = BinaryTree::Storage::OnDemand;
+
+TEST(Arena, GeometryRoundsUpToWholeChunks)
 {
-    ArenaOptions o;
-    o.kind = ArenaKind::Sparse;
-    o.chunkBuckets = chunk_buckets;
-    return o;
+    // 9 levels = 1023 buckets over 256-bucket chunks = 4 chunks.
+    BinaryTree t(9, 3, kOnDemand);
+    EXPECT_EQ(t.numChunks(), 4u);
+    // Record bytes per chunk: 256 buckets of 3 ids + 3 payloads.
+    EXPECT_EQ(t.chunkBytes(), 256u * 2 * 3 * 8);
+    EXPECT_EQ(t.bytesTotal(), 4 * t.chunkBytes());
+    EXPECT_EQ(t.bytesResident(), 0u);
+    // A 3-bucket tree still takes one whole chunk.
+    EXPECT_EQ(BinaryTree(1, 3).numChunks(), 1u);
+}
+
+TEST(Arena, DenseIsFullyResidentUpFront)
+{
+    BinaryTree t(9, 3, kEager);
+    EXPECT_EQ(t.chunksMaterialized(), t.numChunks());
+    EXPECT_EQ(t.bytesResident(), t.bytesTotal());
+    // Every chunk is allocated and every bucket starts empty.
+    for (std::uint64_t c = 0; c < t.numChunks(); ++c)
+        EXPECT_TRUE(t.materialized(c));
+    for (TreeIdx n{0}; n.value() < t.numBuckets(); ++n)
+        EXPECT_EQ(t.occupancy(n), 0u);
+    EXPECT_EQ(t.countRealBlocks(), 0u);
+}
+
+TEST(Arena, MaterializeIsIdempotentAndAllDummy)
+{
+    BinaryTree t(10, 2, kOnDemand);
+    const TreeIdx node{3 * 256 + 5}; // chunk 3
+    const std::uint64_t *shared = t.record(node);
+    EXPECT_TRUE(t.tryPlace(node, 9_id, 90));
+    EXPECT_EQ(t.chunksMaterialized(), 1u);
+    EXPECT_TRUE(t.materialized(3));
+    EXPECT_FALSE(t.materialized(2));
+    EXPECT_NE(t.record(node), shared);
+    // The fresh chunk is zeroed: every other slot of it is dummy.
+    for (std::uint64_t b = 3 * 256; b < 4 * 256; ++b) {
+        for (std::uint32_t i = 0; i < t.z(); ++i) {
+            if (b != node.value() || i != 0) {
+                EXPECT_EQ(t.slotId(TreeIdx{b}, i), kInvalidBlock);
+            }
+        }
+    }
+    // A second write into the same chunk allocates nothing.
+    const std::uint64_t *rec = t.record(node);
+    EXPECT_TRUE(t.tryPlace(TreeIdx{3 * 256}, 10_id, 100));
+    EXPECT_EQ(t.record(node), rec);
+    EXPECT_EQ(t.chunksMaterialized(), 1u);
 }
 
 TEST(SparseTree, ImplicitChunksReadAllDummyWithoutMaterializing)
 {
-    // 6 levels = 127 buckets over 4-bucket chunks = 32 chunks.
-    BinaryTree t(6, 3, sparseOpts(4));
-    EXPECT_EQ(t.arena().chunksMaterialized(), 0u);
-    EXPECT_EQ(t.arena().bytesResident(), 0u);
+    // 10 levels = 2047 buckets = 8 chunks.
+    BinaryTree t(10, 3, kOnDemand);
+    EXPECT_EQ(t.chunksMaterialized(), 0u);
+    EXPECT_EQ(t.bytesResident(), 0u);
     for (TreeIdx n{0}; n.value() < t.numBuckets(); ++n) {
         EXPECT_EQ(t.occupancy(n), 0u);
         EXPECT_EQ(t.freeSlots(n), 3u);
@@ -206,103 +249,91 @@ TEST(SparseTree, ImplicitChunksReadAllDummyWithoutMaterializing)
             EXPECT_EQ(t.slotData(n, i), 0u);
         }
     }
-    // Reads (and clearing already-dummy slots) never materialize.
-    t.clearSlot(9_node, 1);
-    EXPECT_EQ(t.bucket(40_node).occupancyScan(), 0u);
+    // Reads, prefetches, drains and clears of empty slots never
+    // allocate.
+    t.clearSlot(900_node, 1);
+    t.prefetchBucket(1500_node);
+    t.drainBucket(1600_node, [](BlockId, std::uint64_t) {
+        ADD_FAILURE() << "an empty bucket drained a block";
+    });
+    const auto none = [](BlockId &, std::uint64_t &) {};
+    EXPECT_EQ(t.fillBucket(1700_node, 0, none), 0u);
     EXPECT_EQ(t.countRealBlocks(), 0u);
-    EXPECT_EQ(t.arena().chunksMaterialized(), 0u);
+    EXPECT_EQ(t.chunksMaterialized(), 0u);
+    for (std::uint64_t c = 0; c < t.numChunks(); ++c)
+        EXPECT_FALSE(t.materialized(c));
 }
 
 TEST(SparseTree, WritesMaterializeOnlyTouchedChunks)
 {
-    BinaryTree t(6, 3, sparseOpts(4));
-    EXPECT_TRUE(t.tryPlace(0_node, 1_id, 11));   // chunk 0
-    EXPECT_TRUE(t.tryPlace(100_node, 2_id, 22)); // chunk 25
-    EXPECT_EQ(t.arena().chunksMaterialized(), 2u);
-    EXPECT_EQ(t.arena().bytesResident(), 2 * t.arena().chunkBytes());
+    BinaryTree t(10, 3, kOnDemand);
+    EXPECT_TRUE(t.tryPlace(0_node, 1_id, 11));    // chunk 0
+    EXPECT_TRUE(t.tryPlace(1000_node, 2_id, 22)); // chunk 3
+    EXPECT_EQ(t.chunksMaterialized(), 2u);
+    EXPECT_EQ(t.bytesResident(), 2 * t.chunkBytes());
     EXPECT_EQ(t.slotId(0_node, 0), 1_id);
-    EXPECT_EQ(t.slotData(100_node, 0), 22u);
-    EXPECT_EQ(t.occupancy(100_node), 1u);
+    EXPECT_EQ(t.slotData(1000_node, 0), 22u);
+    EXPECT_EQ(t.occupancy(1000_node), 1u);
     EXPECT_EQ(t.countRealBlocks(), 2u);
-    // Untouched chunks stay implicit.
-    EXPECT_FALSE(t.arena().materialized(1));
-    // Clearing the only real block keeps the chunk materialized but
-    // returns its bucket to all-dummy.
-    t.clearSlot(100_node, 0);
-    EXPECT_EQ(t.occupancy(100_node), 0u);
+    // Untouched chunks stay unallocated.
+    EXPECT_FALSE(t.materialized(1));
+    // Clearing the only real block keeps the chunk allocated but
+    // returns its bucket to empty.
+    t.clearSlot(1000_node, 0);
+    EXPECT_EQ(t.occupancy(1000_node), 0u);
     EXPECT_EQ(t.countRealBlocks(), 1u);
-    EXPECT_EQ(t.arena().chunksMaterialized(), 2u);
+    EXPECT_EQ(t.chunksMaterialized(), 2u);
 }
 
 TEST(SparseTree, OccupancyScanAfterRawCorruptionInFreshChunk)
 {
-    BinaryTree t(6, 4, sparseOpts(4));
-    // rawId on an implicit chunk is a write: it must materialize the
-    // chunk as all-dummy first, then hand out the reference.
-    BucketRef b = t.bucket(77_node);
-    b.rawId(2) = 9_id;
-    EXPECT_EQ(t.arena().chunksMaterialized(), 1u);
-    // The raw write bypassed the free count: the O(1) occupancy is
-    // stale (still all-free) and only the checked scan sees the
-    // corruption - in a freshly materialized chunk whose other slots
-    // must all read as dummies.
-    EXPECT_EQ(b.occupancy(), 0u);
-    EXPECT_EQ(b.occupancyScan(), 1u);
+    BinaryTree t(10, 4, kOnDemand);
+    // A raw write into an unwritten chunk allocates it as all-dummy
+    // first, then lands.
+    BucketRef b = t.bucket(777_node);
+    b.setRawId(2, 9_id);
+    EXPECT_EQ(t.chunksMaterialized(), 1u);
+    // Occupancy is a scan of the record's ids, so it sees the planted
+    // block at once - in a fresh chunk whose other slots all read as
+    // dummies.
+    EXPECT_EQ(b.occupancy(), 1u);
     for (std::uint32_t i = 0; i < t.z(); ++i) {
         if (i != 2) {
             EXPECT_TRUE(b.isDummy(i));
         }
     }
     // A neighbouring bucket of the same fresh chunk is untouched.
-    EXPECT_EQ(t.bucket(78_node).occupancyScan(), 0u);
-    b.rawId(2) = kInvalidBlock;
-    EXPECT_EQ(b.occupancyScan(), 0u);
+    EXPECT_EQ(t.bucket(778_node).occupancy(), 0u);
+    b.setRawId(2, kInvalidBlock);
+    EXPECT_EQ(b.occupancy(), 0u);
 }
 
 TEST(SparseTree, BackendsAreFunctionallyIdentical)
 {
-    ArenaOptions dense;
-    dense.kind = ArenaKind::Dense;
-    dense.chunkBuckets = 8;
-    std::vector<ArenaOptions> opts{dense, sparseOpts(8)};
-#if defined(__linux__)
-    ArenaOptions mm;
-    mm.kind = ArenaKind::Mmap;
-    mm.chunkBuckets = 8;
-    opts.push_back(mm);
-#endif
-    // The same operation sequence must leave every backend with the
-    // same visible slot state.
+    // The same operation sequence must leave eager and on-demand
+    // storage with the same records, word for word.
     std::vector<BinaryTree> trees;
-    for (const ArenaOptions &o : opts)
-        trees.emplace_back(5, 3, o);
+    trees.emplace_back(10, 3, kEager);
+    trees.emplace_back(10, 3, kOnDemand);
     for (BinaryTree &t : trees) {
-        for (std::uint64_t n = 0; n < t.numBuckets(); n += 7)
+        for (std::uint64_t n = 0; n < 4 * 256; n += 37)
             t.tryPlace(TreeIdx{n}, BlockId{n}, n * 3);
-        t.clearSlot(TreeIdx{7}, 0);
+        t.tryPlace(TreeIdx{37}, 5_id, 50);
+        t.clearSlot(TreeIdx{37}, 0);
+        t.drainBucket(TreeIdx{74}, [](BlockId, std::uint64_t) {});
     }
-    const BinaryTree &ref = trees.front();
-    for (std::size_t k = 1; k < trees.size(); ++k) {
-        const BinaryTree &t = trees[k];
-        EXPECT_EQ(t.countRealBlocks(), ref.countRealBlocks());
-        for (TreeIdx n{0}; n.value() < ref.numBuckets(); ++n) {
-            EXPECT_EQ(t.occupancy(n), ref.occupancy(n));
-            for (std::uint32_t i = 0; i < ref.z(); ++i) {
-                EXPECT_EQ(t.slotId(n, i), ref.slotId(n, i));
-                if (t.slotId(n, i) != kInvalidBlock) {
-                    EXPECT_EQ(t.slotData(n, i), ref.slotData(n, i));
-                }
-            }
-        }
+    const BinaryTree &eager = trees[0];
+    const BinaryTree &lazy = trees[1];
+    EXPECT_EQ(lazy.countRealBlocks(), eager.countRealBlocks());
+    // Buckets of the untouched upper chunks read through the shared
+    // zero chunk on one side and the eager block on the other.
+    EXPECT_EQ(lazy.chunksMaterialized(), 4u);
+    EXPECT_EQ(eager.chunksMaterialized(), 8u);
+    for (TreeIdx n{0}; n.value() < eager.numBuckets(); ++n) {
+        for (std::uint32_t w = 0; w < 2 * eager.z(); ++w)
+            EXPECT_EQ(lazy.record(n)[w], eager.record(n)[w])
+                << "bucket " << n << " word " << w;
     }
-}
-
-TEST(SparseTree, BadChunkSizeIsFatal)
-{
-    ArenaOptions o;
-    o.kind = ArenaKind::Sparse;
-    o.chunkBuckets = 6; // not a power of two
-    EXPECT_THROW(BinaryTree(4, 3, o), SimFatal);
 }
 
 } // namespace

@@ -39,6 +39,19 @@ TEST(UnifiedOram, InitializeAssignsLeavesToEveryBlock)
     EXPECT_TRUE(checkIntegrity(u).ok);
 }
 
+TEST(UnifiedOram, InvalidConfigIsFatalBeforeAnyMemberIsBuilt)
+{
+    // Both configs reach BlockSpace's fanout arithmetic: a zero entry
+    // size divides by zero, and an entry wider than a block gives a
+    // zero fanout. validate() must reject them first.
+    OramConfig zero_entry = recCfg();
+    zero_entry.posMapEntryBytes = 0;
+    EXPECT_THROW({ UnifiedOram u(zero_entry); }, SimFatal);
+    OramConfig wide_entry = recCfg();
+    wide_entry.posMapEntryBytes = wide_entry.blockBytes * 2;
+    EXPECT_THROW({ UnifiedOram u(wide_entry); }, SimFatal);
+}
+
 TEST(UnifiedOram, InitializeTwicePanics)
 {
     UnifiedOram u(recCfg());

@@ -75,8 +75,8 @@ reservedAppend(std::vector<std::uint64_t> &lane, std::uint64_t v)
 }
 
 // Demand materialization in a hot function: a once-per-chunk
-// allocation keyed on a public tree coordinate (the sparse arena's
-// first-touch path) is allowed with the argued suppression.
+// allocation keyed on a public tree coordinate (on-demand tree
+// storage's first-write path) is allowed with the argued suppression.
 PRORAM_HOT std::uint64_t *
 materializeChunk(std::uint64_t chunk_slots)
 {
