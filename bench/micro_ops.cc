@@ -16,6 +16,7 @@
 #include "core/oram_controller.hh"
 #include "obs/trace.hh"
 #include "oram/evict_kernel.hh"
+#include "oram/unified_oram.hh"
 #include "sim/system.hh"
 #include "sim/system_config.hh"
 #include "trace/benchmarks.hh"
@@ -218,9 +219,11 @@ BENCHMARK(BM_SparseTreeTouch);
 void
 BM_TreeConstruct(benchmark::State &state)
 {
-    // Eager tree construction at ~0.5 M buckets: dominated by
-    // zeroing the one block of bucket records (zero is an empty
-    // bucket, so there is no other fill).
+    // Eager tree construction at ~0.5 M buckets (24 MiB of records):
+    // dominated by zeroing the one block of bucket records (zero is
+    // an empty bucket, so there is no other fill), which the
+    // huge-page advice given just before lets fault in on 2 MiB pages
+    // where the host's THP mode allows.
     for (auto _ : state) {
         BinaryTree t(18, 3);
         benchmark::DoNotOptimize(t.numBuckets());
@@ -228,6 +231,24 @@ BM_TreeConstruct(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeConstruct);
+
+void
+BM_OramInitialize(benchmark::State &state)
+{
+    // The set-up every eager run pays, at random_big's geometry: build
+    // a 2^20-data-block UnifiedOram (tree records and position map),
+    // assign every block a leaf and place it. One iteration per tree.
+    OramConfig cfg;
+    cfg.numDataBlocks = 1ULL << 20;
+    cfg.seed = 77;
+    for (auto _ : state) {
+        UnifiedOram oram(cfg);
+        oram.initialize(1);
+        benchmark::DoNotOptimize(oram.engine().stash().size());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OramInitialize);
 
 void
 BM_LargeTreeDrive(benchmark::State &state)

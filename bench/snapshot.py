@@ -33,6 +33,17 @@ base label taken under a different scheme: cross-protocol ratios are
 design differences, not regressions. Entries predating the tag count
 as "path".
 
+Every snapshot's `host` block fingerprints where it was taken: the
+CPU count, the CPU model and MHz (/proc/cpuinfo), the compiler and
+build type (the CMakeCache.txt of the build tree holding --binary),
+and the selected transparent-huge-page `enabled` and `defrag` modes
+(large-tree set-up times depend on them). Compare mode prints the
+committed and the current host block, plus a `cross-host` line when
+they differ in anything but the MHz, which moves with frequency
+scaling on one host. It does not refuse: CI compares a shared runner
+against snapshots taken elsewhere by design. Fields an older snapshot
+lacks print as unknown.
+
 Only stdlib; safe to run on any host with the repo built. The JSON
 file is rewritten with 2-space indentation (matching the committed
 style) and a trailing newline.
@@ -42,6 +53,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
@@ -58,6 +70,98 @@ METRICS_SCHEMA = "proram-metrics-v1"
 # User counters the arena benchmarks export (micro_ops.cc); folded
 # into the snapshot's memory section when present.
 MEMORY_COUNTERS = ("arenaBytesResident", "chunksMaterialized")
+
+THP_ROOT = pathlib.Path("/sys/kernel/mm/transparent_hugepage")
+# Host block fields, in print order; cpu_mhz is recorded but left out
+# of the cross-host test.
+HOST_FIELDS = ("cpus", "cpu_model", "cpu_mhz", "compiler", "build_type",
+               "thp_enabled", "thp_defrag")
+
+
+def read_text_or_empty(path):
+    try:
+        return pathlib.Path(path).read_text(errors="replace")
+    except OSError:
+        return ""
+
+
+def cpu_fingerprint(cpuinfo=pathlib.Path("/proc/cpuinfo")):
+    """Model name and MHz of the first processor listed; None for a
+    field that cannot be read."""
+    model = mhz = None
+    for line in read_text_or_empty(cpuinfo).splitlines():
+        key, _, val = line.partition(":")
+        key = key.strip()
+        if key == "model name" and model is None:
+            model = val.strip()
+        elif key == "cpu MHz" and mhz is None:
+            mhz = val.strip()
+    return {"cpu_model": model, "cpu_mhz": mhz}
+
+
+def build_fingerprint(binary):
+    """Compiler and build type from the CMakeCache.txt of the nearest
+    build tree above @binary; None for what it cannot find. An empty
+    CMAKE_BUILD_TYPE means the project's default applied. The
+    compiler's id and version come from the CMakeCXXCompiler.cmake the
+    configure step wrote next to the cache."""
+    out = {"compiler": None, "build_type": None}
+    build = next((d for d in pathlib.Path(binary).resolve().parents
+                  if (d / "CMakeCache.txt").is_file()), None)
+    if build is None:
+        return out
+    cache = (build / "CMakeCache.txt").read_text(errors="replace")
+    compiler = re.search(r"^CMAKE_CXX_COMPILER:\w+=(.*)$", cache, re.M)
+    build_type = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", cache, re.M)
+    if compiler:
+        out["compiler"] = compiler[1]
+    if build_type:
+        out["build_type"] = build_type[1] or "project default"
+    for probe in build.glob("CMakeFiles/*/CMakeCXXCompiler.cmake"):
+        text = probe.read_text(errors="replace")
+        ident = re.findall(r'set\(CMAKE_CXX_COMPILER_(?:ID|VERSION) '
+                           r'"([^"]*)"\)', text)
+        if ident:
+            version = " ".join(ident)
+            out["compiler"] = (f"{out['compiler']} ({version})"
+                               if out["compiler"] else version)
+    return out
+
+
+def thp_modes(root=THP_ROOT):
+    """The selected (bracketed) THP `enabled` and `defrag` modes; None
+    where the host does not expose them."""
+    out = {}
+    for name in ("enabled", "defrag"):
+        mode = None
+        for word in read_text_or_empty(pathlib.Path(root) / name).split():
+            if word.startswith("[") and word.endswith("]"):
+                mode = word[1:-1]
+        out[f"thp_{name}"] = mode
+    return out
+
+
+def host_fingerprint(binary):
+    """This host's fingerprint, as recorded in a snapshot's host block."""
+    host = {"cpus": os.cpu_count() or 1}
+    host.update(cpu_fingerprint())
+    host.update(build_fingerprint(binary))
+    host.update(thp_modes())
+    return host
+
+
+def format_host(host):
+    """One line per host block; a missing or null field is unknown."""
+    return ", ".join(
+        f"{k}={host.get(k) if host.get(k) is not None else 'unknown'}"
+        for k in HOST_FIELDS)
+
+
+def cross_host(base, current):
+    """Fields, MHz aside, whose values differ between two host blocks;
+    a field one block lacks differs from a known value."""
+    return [k for k in HOST_FIELDS
+            if k != "cpu_mhz" and base.get(k) != current.get(k)]
 
 
 def run_benchmarks(binary, repetitions, min_time, bench_filter,
@@ -233,6 +337,16 @@ def main():
                      f"run uses '--scheme {args.scheme}'; compare "
                      f"same-scheme snapshots only")
         base_micro = by_label[args.compare_vs].get("micro_ops", {})
+        base_host = by_label[args.compare_vs].get("host", {})
+        host = host_fingerprint(args.binary)
+        print(f"base host:    {format_host(base_host)}")
+        print(f"current host: {format_host(host)}")
+        differing = cross_host(base_host, host)
+        if differing:
+            # Informational only: CI compares a shared runner against
+            # snapshots taken on another host by design.
+            print(f"cross-host: {', '.join(differing)} differ; "
+                  f"ratios mix host and code effects")
         report = run_benchmarks(args.binary, args.repetitions,
                                 args.min_time, args.filter,
                                 scheme=args.scheme)
@@ -285,16 +399,16 @@ def main():
     # Timings are only comparable on the host that took them, so every
     # snapshot records where it was taken instead of trusting the
     # file-level hardcoded host block.
-    host_cpus = os.cpu_count() or 1
+    host = host_fingerprint(args.binary)
     entry = {
         "label": args.label,
         "description": args.description,
         "scheme": args.scheme,
-        "host": {"cpus": host_cpus},
+        "host": host,
         "micro_ops": micro,
     }
     if isinstance(doc.get("host"), dict):
-        doc["host"]["cpus"] = host_cpus
+        doc["host"]["cpus"] = host["cpus"]
     speedups = {}
     for base in args.speedup_vs:
         base_micro = by_label[base].get("micro_ops", {})

@@ -64,7 +64,8 @@ BlockSpace::levelCount(std::uint32_t level) const
 }
 
 PositionMap::PositionMap(std::uint64_t num_blocks, Leaf num_leaves)
-    : entries_(num_blocks), numLeaves_(num_leaves)
+    : entries_(makeHugeArray<PosEntry>(num_blocks)), size_(num_blocks),
+      numLeaves_(num_leaves)
 {
     fatal_if(num_leaves == Leaf{0},
              "position map needs at least one leaf");

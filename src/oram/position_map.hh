@@ -31,6 +31,7 @@
 #include "oram/config.hh"
 #include "util/annotations.hh"
 #include "util/flat_index.hh"
+#include "util/huge_pages.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
 
@@ -121,13 +122,13 @@ class PositionMap
 
     PosEntry &entry(BlockId id)
     {
-        panic_if(id.value() >= entries_.size(), "pos-map index ", id,
+        panic_if(id.value() >= size_, "pos-map index ", id,
                  " out of range");
         return entries_[id.value()];
     }
     const PosEntry &entry(BlockId id) const
     {
-        panic_if(id.value() >= entries_.size(), "pos-map index ", id,
+        panic_if(id.value() >= size_, "pos-map index ", id,
                  " out of range");
         return entries_[id.value()];
     }
@@ -138,12 +139,15 @@ class PositionMap
      * Start loading @p id's entry into the cache, for writing. An
      * out-of-range id is clamped to the end of the map, so no
      * out-of-range pointer is formed; entry() still panics on it.
+     * Always inlined, like BinaryTree::prefetchBucket, so gcc cannot
+     * delete the call as side-effect free.
      */
-    PRORAM_OBLIVIOUS PRORAM_HOT void prefetchEntry(BlockId id) const
+    PRORAM_OBLIVIOUS PRORAM_HOT __attribute__((always_inline)) void
+    prefetchEntry(BlockId id) const
     {
         const std::uint64_t at =
-            std::min<std::uint64_t>(id.value(), entries_.size());
-        __builtin_prefetch(entries_.data() + at, 1);
+            std::min<std::uint64_t>(id.value(), size_);
+        __builtin_prefetch(entries_.get() + at, 1);
     }
 
     /**
@@ -167,11 +171,13 @@ class PositionMap
      *  with nullptr when the stash goes away. */
     void attachLeafCache(Leaf *lane) { stashLeaves_ = lane; }
 
-    std::uint64_t size() const { return entries_.size(); }
+    std::uint64_t size() const { return size_; }
     Leaf numLeaves() const { return numLeaves_; }
 
   private:
-    std::vector<PosEntry> entries_;
+    /** One entry per block, huge-page advised (util/huge_pages.hh). */
+    HugeArray<PosEntry> entries_;
+    std::uint64_t size_;
     Leaf numLeaves_;
     /** The attached stash's leaf lane, indexed by stash slot. */
     Leaf *stashLeaves_ = nullptr;

@@ -17,6 +17,11 @@ namespace
  *  real level is this large). */
 constexpr std::uint32_t kPlaced = 0xFFFFFFFFu;
 
+/** How many places ahead in its id list a placeInitial pass requests
+ *  a bucket record: enough misses in flight to cover memory latency
+ *  at a few ns of work per block. */
+constexpr std::size_t kPlacePrefetchAhead = 16;
+
 } // namespace
 
 OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
@@ -153,15 +158,75 @@ OramScheme::evictGreedy(Leaf leaf)
 }
 
 void
-OramScheme::placeInitial(BlockId id, std::uint64_t data)
+OramScheme::placeInitial(std::uint64_t count,
+                         std::span<const std::uint64_t> payloads)
 {
-    const Leaf leaf = posMap_.leafOf(id);
-    panic_if(leaf == kInvalidLeaf, "placeInitial before leaf assignment");
-    for (std::uint32_t l = tree_.levels() + 1; l-- > 0;) {
-        if (tree_.tryPlace(tree_.nodeOnPath(leaf, Level{l}), id, data))
-            return;
+    panic_if(!payloads.empty() && payloads.size() != count,
+             "placeInitial: ", payloads.size(), " payloads for ", count,
+             " blocks");
+    // Level by level rather than block by block. A leaf-upward walk
+    // would offer each block in turn to the buckets of its path,
+    // deepest first, until one has a free slot. Instead, the leaf pass
+    // offers every block, in id order, to its leaf bucket and keeps
+    // the ids that do not fit; the pass for the next level up offers
+    // only that overflow list, in order, and so on up to the root;
+    // whatever overflows the root enters the stash in id order.
+    //
+    // Both give the same tree and stash. In either, a bucket at level
+    // l is offered exactly the blocks that overflowed every deeper
+    // bucket on their path, in increasing id order, and it takes them
+    // into its first dummy slots until it is full: its children's
+    // overflow depends only on what they were offered, in what order.
+    // By induction from the leaves, the same blocks land in the same
+    // slots and the same blocks reach the stash in the same order
+    // (InitialPlacement.LevelByLevelMatchesLeafUpwardWalk).
+    //
+    // What changes is the memory access pattern. Each pass walks an
+    // id-ordered list, so the bucket record of the block
+    // kPlacePrefetchAhead places further on is requested early and
+    // the passes' misses overlap instead of forming one dependent
+    // chain per block.
+    const auto leafOf = [this](BlockId id) {
+        const Leaf leaf = posMap_.leafOf(id);
+        panic_if(leaf == kInvalidLeaf,
+                 "placeInitial before leaf assignment");
+        return leaf;
+    };
+    const auto payloadOf = [payloads](BlockId id) -> std::uint64_t {
+        return payloads.empty() ? 0 : payloads[id.value()];
+    };
+    const auto prefetch = [&](BlockId id, Level level) {
+        tree_.prefetchBucket(tree_.nodeOnPath(leafOf(id), level));
+    };
+    const auto place = [&](BlockId id, Level level) {
+        return tree_.tryPlace(tree_.nodeOnPath(leafOf(id), level), id,
+                              payloadOf(id));
+    };
+
+    std::vector<BlockId> overflow;
+    const Level leaf_level = tree_.leafLevel();
+    for (std::uint64_t b = 0; b < count; ++b) {
+        if (b + kPlacePrefetchAhead < count)
+            prefetch(BlockId{b + kPlacePrefetchAhead}, leaf_level);
+        if (!place(BlockId{b}, leaf_level))
+            overflow.push_back(BlockId{b});
     }
-    stash_.insert(id, data);
+    // The passes above the leaves filter the list in place: a level
+    // keeps an ordered subsequence of the ids it reads, and its write
+    // cursor never passes its read cursor.
+    for (std::uint32_t l = tree_.levels(); l-- > 0 && !overflow.empty();) {
+        const std::size_t n = overflow.size();
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i + kPlacePrefetchAhead < n)
+                prefetch(overflow[i + kPlacePrefetchAhead], Level{l});
+            if (!place(overflow[i], Level{l}))
+                overflow[kept++] = overflow[i];
+        }
+        overflow.resize(kept);
+    }
+    for (const BlockId id : overflow)
+        stash_.insert(id, payloadOf(id));
 }
 
 std::unique_ptr<OramScheme>

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -119,10 +120,17 @@ class OramScheme
     }
 
     /**
-     * Place a block into the deepest free bucket on its mapped path,
-     * falling back to the stash. Used for initialization only.
+     * Initial placement of blocks [0, @p count), block b carrying
+     * payloads[b] (payload 0 for all when @p payloads is empty). Each
+     * block lands in the deepest bucket of its mapped path that still
+     * has a free slot when the blocks are taken in id order, and in
+     * the stash, in id order, when its whole path is full. Every
+     * block's leaf must be assigned first. Used for initialization
+     * only; the placement runs level by level, leaves first (see the
+     * definition).
      */
-    void placeInitial(BlockId id, std::uint64_t data);
+    void placeInitial(std::uint64_t count,
+                      std::span<const std::uint64_t> payloads = {});
 
     /**
      * Observe the (public) leaf of every *scheduled* eviction pass,

@@ -20,8 +20,9 @@ BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
     if (storage == Storage::Eager) {
         // One value-initialized block: zero is an empty bucket, so
         // there is no fill pass, and the zeroing faults the pages in
-        // here rather than inside the first placements.
-        eager_.reset(new std::uint64_t[numChunks_ * chunk_words]());
+        // here - on huge pages where the advice is taken - rather
+        // than inside the first placements.
+        eager_ = makeHugeArray<std::uint64_t>(numChunks_ * chunk_words);
         for (std::uint64_t c = 0; c < numChunks_; ++c)
             chunks_[c] = eager_.get() + c * chunk_words;
         chunksMaterialized_ = numChunks_;

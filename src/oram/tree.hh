@@ -19,11 +19,12 @@
  * Records are grouped into chunks of kChunkBuckets consecutive
  * buckets behind a directory of one pointer per chunk. An eager tree
  * takes every chunk from one zero-initialized allocation made at
- * construction. An on-demand tree (OramConfig::lazyInit) points every
- * chunk at one shared zero chunk until the chunk's first write
- * allocates it, which is what makes paper-scale (2^26-block) trees
- * affordable: reads never allocate, only writes (tryPlace, fillBucket
- * and the raw test setters) do.
+ * construction and advised for transparent huge pages before it is
+ * zeroed (util/huge_pages.hh). An on-demand tree
+ * (OramConfig::lazyInit) points every chunk at one shared zero chunk
+ * until the chunk's first write allocates it, which is what makes
+ * paper-scale (2^26-block) trees affordable: reads never allocate,
+ * only writes (tryPlace, fillBucket and the raw test setters) do.
  */
 
 #ifndef PRORAM_ORAM_TREE_HH
@@ -33,6 +34,7 @@
 #include <memory>
 
 #include "util/annotations.hh"
+#include "util/huge_pages.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
 
@@ -183,9 +185,12 @@ class BinaryTree
     /**
      * Start loading bucket @p node's record into the cache, for
      * writing. A record may straddle two lines, so both ends are
-     * prefetched. Never allocates.
+     * prefetched. Never allocates. Always inlined: out of line, gcc
+     * finds the body free of side effects (a prefetch does not count)
+     * and deletes the call, prefetch and all.
      */
-    PRORAM_OBLIVIOUS PRORAM_HOT void prefetchBucket(TreeIdx node) const
+    PRORAM_OBLIVIOUS PRORAM_HOT __attribute__((always_inline)) void
+    prefetchBucket(TreeIdx node) const
     {
         const std::uint64_t *rec = record(node);
         __builtin_prefetch(rec, 1);
@@ -343,8 +348,9 @@ class BinaryTree
     std::uint64_t numChunks_;
     /** Chunk directory: one record-array pointer per chunk. */
     std::unique_ptr<std::uint64_t *[]> chunks_;
-    /** Eager: every chunk's records, back to back. */
-    std::unique_ptr<std::uint64_t[]> eager_;
+    /** Eager: every chunk's records, back to back, huge-page
+     *  advised. */
+    HugeArray<std::uint64_t> eager_;
     /** On demand: the read-only chunk unwritten chunks point at, and
      *  the chunks allocated so far (null until written). */
     std::unique_ptr<std::uint64_t[]> zeroChunk_;

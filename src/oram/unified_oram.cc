@@ -69,8 +69,7 @@ UnifiedOram::initialize(std::uint32_t static_sb_size)
         // access, so an untouched subtree never costs a tree chunk.
         created_.assign((total + 63) / 64, 0);
     } else {
-        for (BlockId id{0}; id.value() < total; ++id)
-            oram_->placeInitial(id, 0);
+        oram_->placeInitial(total);
     }
     initialized_ = true;
 }

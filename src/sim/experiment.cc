@@ -1,6 +1,7 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -165,8 +166,12 @@ benchScaleFromEnv()
     const char *env = std::getenv("PRORAM_BENCH_SCALE");
     if (!env)
         return 1.0;
-    const double v = std::atof(env);
-    return v > 0.0 ? v : 1.0;
+    char *end = nullptr;
+    const double v = std::strtod(env, &end);
+    fatal_if(end == env || *end != '\0' || !std::isfinite(v) || v <= 0.0,
+             "PRORAM_BENCH_SCALE: invalid value '", env,
+             "' (want a finite number > 0)");
+    return v;
 }
 
 } // namespace proram

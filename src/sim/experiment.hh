@@ -107,7 +107,8 @@ class Experiment
 /** Geometric-ish aggregate the paper reports: arithmetic mean. */
 double mean(const std::vector<double> &values);
 
-/** Trace scale from $PRORAM_BENCH_SCALE, default 1.0. */
+/** Trace scale from $PRORAM_BENCH_SCALE, default 1.0. The whole value
+ *  must parse as a finite number > 0; anything else is fatal. */
 double benchScaleFromEnv();
 
 } // namespace proram

@@ -1,20 +1,38 @@
 #include "trace/benchmarks.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
 namespace proram
 {
 
+namespace
+{
+
+/** @p profile's trace length at @p scale, checked before it is
+ *  converted: the scale must be finite and > 0 and the product must
+ *  fit in 64 bits. */
+std::uint64_t
+scaledAccesses(const BenchmarkProfile &profile, double scale)
+{
+    fatal_if(!std::isfinite(scale) || scale <= 0.0,
+             "trace scale must be finite and positive, got ", scale);
+    const double target = static_cast<double>(profile.numAccesses) * scale;
+    fatal_if(target >= std::ldexp(1.0, 64), "trace scale ", scale,
+             " overflows ", profile.name, "'s ", profile.numAccesses,
+             " accesses");
+    return static_cast<std::uint64_t>(target);
+}
+
+} // namespace
+
 ProfileGenerator::ProfileGenerator(const BenchmarkProfile &profile,
                                    double scale)
-    : prof_(profile),
-      target_(static_cast<std::uint64_t>(
-          static_cast<double>(profile.numAccesses) * scale)),
+    : prof_(profile), target_(scaledAccesses(profile, scale)),
       rng_(profile.seed)
 {
-    fatal_if(scale <= 0.0, "trace scale must be positive");
     fatal_if(profile.footprintBlocks < 16, "footprint too small");
     if (prof_.zipf) {
         const std::uint64_t records =

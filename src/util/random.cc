@@ -57,6 +57,11 @@ std::uint64_t
 Rng::below(std::uint64_t bound)
 {
     panic_if(bound == 0, "Rng::below(0)");
+    // A power-of-two bound has no modulo bias: the threshold below is
+    // 0 and r % bound is a mask, so the first draw, masked, is what
+    // the loop would return - without its two divides.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Lemire-style rejection to remove modulo bias.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {

@@ -1,6 +1,9 @@
 #include "util/thread_pool.hh"
 
 #include <cstdlib>
+#include <limits>
+
+#include "util/logging.hh"
 
 namespace proram::util
 {
@@ -59,9 +62,15 @@ unsigned
 ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("PRORAM_BENCH_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
+        char *end = nullptr;
+        const unsigned long long v = std::strtoull(env, &end, 10);
+        // strtoull negates a leading '-' and saturates on overflow;
+        // both land outside 1..UINT_MAX.
+        fatal_if(end == env || *end != '\0' || v == 0 ||
+                     v > std::numeric_limits<unsigned>::max(),
+                 "PRORAM_BENCH_THREADS: invalid value '", env,
+                 "' (want a positive integer)");
+        return static_cast<unsigned>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

@@ -40,10 +40,12 @@ struct Fixture
     /** Assign random leaves and place all blocks. */
     void init()
     {
-        for (std::uint64_t b = 0; b < config.numDataBlocks; ++b)
+        std::vector<std::uint64_t> payloads(config.numDataBlocks);
+        for (std::uint64_t b = 0; b < config.numDataBlocks; ++b) {
             posMap.setLeaf(BlockId{b}, oram.randomLeaf());
-        for (std::uint64_t b = 0; b < config.numDataBlocks; ++b)
-            oram.placeInitial(BlockId{b}, b * 3);
+            payloads[b] = b * 3;
+        }
+        oram.placeInitial(config.numDataBlocks, payloads);
     }
 
     /** Count copies of a block across stash + tree. */

@@ -1,5 +1,6 @@
 """Unit tests for bench/snapshot.py (duplicate-label handling,
---force replacement, compare mode, metrics-JSONL ingestion).
+--force replacement, compare mode, metrics-JSONL ingestion, host
+fingerprint).
 
 Run via ctest (snapshot_py) or directly:
     python3 -m unittest tests/python/snapshot_test.py
@@ -7,6 +8,7 @@ The benchmark binary is stubbed with a script that prints canned
 google-benchmark JSON, so the test needs no built tree.
 """
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -17,6 +19,14 @@ import unittest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 SNAPSHOT_PY = REPO_ROOT / "bench" / "snapshot.py"
+
+
+def load_snapshot_module():
+    spec = importlib.util.spec_from_file_location("snapshot", SNAPSHOT_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 FAKE_REPORT = {
     "benchmarks": [
@@ -241,6 +251,44 @@ class SnapshotToolTest(unittest.TestCase):
         self.assertNotEqual(res.returncode, 0)
         self.assertIn("same-scheme", res.stderr)
 
+    def test_snapshot_records_host_fingerprint(self):
+        # The stub binary sits in a fake build tree.
+        (self.dir / "CMakeCache.txt").write_text(
+            "# comment\n"
+            "CMAKE_CXX_COMPILER:FILEPATH=/usr/local/bin/fake-c++\n"
+            "CMAKE_BUILD_TYPE:STRING=Release\n")
+        probe = self.dir / "CMakeFiles" / "3.25.1"
+        probe.mkdir(parents=True)
+        (probe / "CMakeCXXCompiler.cmake").write_text(
+            'set(CMAKE_CXX_COMPILER "/usr/local/bin/fake-c++")\n'
+            'set(CMAKE_CXX_COMPILER_ID "GNU")\n'
+            'set(CMAKE_CXX_COMPILER_VERSION "12.2.0")\n')
+        res = self.run_tool("--label", "fp", "--description", "d")
+        self.assertEqual(res.returncode, 0, res.stderr)
+        host = self.read_doc()["snapshots"][-1]["host"]
+        self.assertEqual(set(host), set(load_snapshot_module().HOST_FIELDS))
+        self.assertEqual(host["compiler"],
+                         "/usr/local/bin/fake-c++ (GNU 12.2.0)")
+        self.assertEqual(host["build_type"], "Release")
+
+    def test_compare_prints_host_blocks_and_flags_cross_host(self):
+        # 'base' predates the fingerprint: its fields print as unknown
+        # and the comparison still runs.
+        res = self.run_tool("--compare-vs", "base")
+        self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertIn("base host:    cpus=unknown, cpu_model=unknown",
+                      res.stdout)
+        self.assertIn("current host: cpus=", res.stdout)
+        self.assertIn("cross-host:", res.stdout)
+        self.assertIn("no regressions", res.stdout)
+
+    def test_compare_on_the_recording_host_is_not_cross_host(self):
+        self.run_tool("--label", "here", "--description", "d")
+        res = self.run_tool("--compare-vs", "here")
+        self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertIn("base host:", res.stdout)
+        self.assertNotIn("cross-host", res.stdout)
+
     def test_metrics_jsonl_rejects_bad_schema(self):
         jsonl = self.dir / "metrics.jsonl"
         jsonl.write_text(json.dumps({"schema": "other"}) + "\n")
@@ -248,6 +296,47 @@ class SnapshotToolTest(unittest.TestCase):
                             "--metrics-jsonl", str(jsonl))
         self.assertNotEqual(res.returncode, 0)
         self.assertIn("schema", res.stderr)
+
+
+class HostFingerprintTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.dir = pathlib.Path(self.tmp.name)
+        self.mod = load_snapshot_module()
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def test_thp_modes_pick_the_bracketed_word(self):
+        (self.dir / "enabled").write_text("always [madvise] never\n")
+        (self.dir / "defrag").write_text(
+            "always defer defer+madvise [madvise] never\n")
+        self.assertEqual(self.mod.thp_modes(self.dir),
+                         {"thp_enabled": "madvise",
+                          "thp_defrag": "madvise"})
+        # A host without THP reports nothing, not an error.
+        self.assertEqual(self.mod.thp_modes(self.dir / "absent"),
+                         {"thp_enabled": None, "thp_defrag": None})
+
+    def test_cpu_fingerprint_reads_the_first_processor(self):
+        cpuinfo = self.dir / "cpuinfo"
+        cpuinfo.write_text(
+            "processor\t: 0\nmodel name\t: Some CPU @ 2.00GHz\n"
+            "cpu MHz\t\t: 2000.000\n\nprocessor\t: 1\n"
+            "model name\t: Other\ncpu MHz\t\t: 1200.000\n")
+        self.assertEqual(self.mod.cpu_fingerprint(cpuinfo),
+                         {"cpu_model": "Some CPU @ 2.00GHz",
+                          "cpu_mhz": "2000.000"})
+
+    def test_cross_host_ignores_mhz_and_flags_unknowns(self):
+        a = {k: "x" for k in self.mod.HOST_FIELDS}
+        b = dict(a, cpu_mhz="y")
+        self.assertEqual(self.mod.cross_host(a, b), [])
+        self.assertEqual(self.mod.cross_host(a, dict(a, thp_enabled="z")),
+                         ["thp_enabled"])
+        self.assertEqual(self.mod.cross_host({"cpus": "x"}, a),
+                         [k for k in self.mod.HOST_FIELDS
+                          if k not in ("cpus", "cpu_mhz")])
 
 
 if __name__ == "__main__":

@@ -93,5 +93,21 @@ TEST(Experiment, RejectsBadScale)
     EXPECT_THROW(Experiment(defaultSystemConfig(), 0.0), SimFatal);
 }
 
+TEST(Experiment, BenchScaleFromEnvParsesStrictly)
+{
+    ::unsetenv("PRORAM_BENCH_SCALE");
+    EXPECT_EQ(benchScaleFromEnv(), 1.0);
+    ::setenv("PRORAM_BENCH_SCALE", "0.02", 1);
+    EXPECT_EQ(benchScaleFromEnv(), 0.02);
+    // The whole value must be a finite number > 0.
+    for (const char *bad :
+         {"abc", "0.02x", "", "inf", "-inf", "nan", "0", "-1", "1e400"}) {
+        SCOPED_TRACE(bad);
+        ::setenv("PRORAM_BENCH_SCALE", bad, 1);
+        EXPECT_THROW(benchScaleFromEnv(), SimFatal);
+    }
+    ::unsetenv("PRORAM_BENCH_SCALE");
+}
+
 } // namespace
 } // namespace proram

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/logging.hh"
@@ -69,6 +70,19 @@ TEST(Benchmarks, ScaleShrinksTrace)
     while (g->next(r))
         ++n;
     EXPECT_EQ(n, p.numAccesses / 100);
+}
+
+TEST(Benchmarks, NonFiniteOrOverflowingScaleIsFatal)
+{
+    // Checked before the trace length is computed: converting these
+    // products to an integer would be undefined behaviour.
+    const auto &p = profileByName("fft");
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1e30}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(ProfileGenerator(p, bad), SimFatal);
+    }
 }
 
 TEST(Benchmarks, DeterministicAcrossInstances)

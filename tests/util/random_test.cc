@@ -72,6 +72,33 @@ TEST(Rng, BelowIsApproximatelyUniform)
     EXPECT_LT(chi2, 27.9);
 }
 
+/** Rng::below's general rejection loop, kept here as the reference
+ *  its power-of-two fast path must reproduce. */
+std::uint64_t
+belowByRejection(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, BelowPowerOfTwoMatchesRejectionLoop)
+{
+    for (const std::uint64_t bound :
+         {1ULL, 2ULL, 1ULL << 19, 1ULL << 32, 1ULL << 63}) {
+        SCOPED_TRACE(bound);
+        Rng fast(2024), ref(2024);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(fast.below(bound), belowByRejection(ref, bound));
+        // Same number of draws: the generators continue in lockstep.
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(fast.next(), ref.next());
+    }
+}
+
 TEST(Rng, InRangeInclusive)
 {
     Rng rng(5);

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace proram::util
 {
 namespace
@@ -93,10 +95,22 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnv)
 {
     ::setenv("PRORAM_BENCH_THREADS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
-    ::setenv("PRORAM_BENCH_THREADS", "not-a-number", 1);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+    ::setenv("PRORAM_BENCH_THREADS", "4294967295", 1);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), 4294967295u);
     ::unsetenv("PRORAM_BENCH_THREADS");
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadCountRejectsMalformedEnv)
+{
+    // The whole value must be a positive integer that fits unsigned.
+    for (const char *bad : {"not-a-number", "4x", "", "0", "-1", "2.5",
+                            "4294967296", "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ::setenv("PRORAM_BENCH_THREADS", bad, 1);
+        EXPECT_THROW(ThreadPool::defaultThreadCount(), SimFatal);
+    }
+    ::unsetenv("PRORAM_BENCH_THREADS");
 }
 
 } // namespace
