@@ -71,8 +71,11 @@ PositionMap::PositionMap(std::uint64_t num_blocks, Leaf num_leaves)
              "position map needs at least one leaf");
 }
 
-PosMapBlockCache::PosMapBlockCache(std::uint32_t entries)
-    : capacity_(entries), nodes_(entries), index_(entries)
+PosMapBlockCache::PosMapBlockCache(std::uint32_t entries,
+                                   BlockId first_block,
+                                   std::uint64_t num_blocks)
+    : capacity_(entries), nodes_(entries), first_(first_block),
+      slotOf_(num_blocks, kNil)
 {
     fatal_if(entries == 0, "PLB needs at least one entry");
 }
@@ -107,8 +110,8 @@ PosMapBlockCache::linkFront(std::uint32_t slot)
 bool
 PosMapBlockCache::lookup(BlockId pm_block)
 {
-    const std::uint32_t slot = index_.get(pm_block.value());
-    if (slot == FlatIndex::kNone) {
+    const std::uint32_t slot = slotOf_[indexOf(pm_block)];
+    if (slot == kNil) {
         ++misses_;
         return false;
     }
@@ -123,30 +126,30 @@ PosMapBlockCache::lookup(BlockId pm_block)
 void
 PosMapBlockCache::insert(BlockId pm_block)
 {
-    std::uint32_t slot = index_.get(pm_block.value());
-    if (slot != FlatIndex::kNone) {
-        if (head_ != slot) {
-            unlink(slot);
-            linkFront(slot);
+    std::uint32_t &cached = slotOf_[indexOf(pm_block)];
+    if (cached != kNil) {
+        if (head_ != cached) {
+            unlink(cached);
+            linkFront(cached);
         }
         return;
     }
+    std::uint32_t slot = tail_;
     if (used_ < capacity_) {
         slot = used_++;
     } else {
-        slot = tail_;
-        index_.erase(nodes_[slot].id.value());
+        slotOf_[indexOf(nodes_[slot].id)] = kNil;
         unlink(slot);
     }
     nodes_[slot].id = pm_block;
     linkFront(slot);
-    index_.put(pm_block.value(), slot);
+    cached = slot;
 }
 
 bool
 PosMapBlockCache::contains(BlockId pm_block) const
 {
-    return index_.get(pm_block.value()) != FlatIndex::kNone;
+    return slotOf_[indexOf(pm_block)] != kNil;
 }
 
 } // namespace proram

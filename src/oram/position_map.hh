@@ -30,7 +30,6 @@
 
 #include "oram/config.hh"
 #include "util/annotations.hh"
-#include "util/flat_index.hh"
 #include "util/huge_pages.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
@@ -192,13 +191,20 @@ class PositionMap
  * simplification.
  *
  * Layout: fixed slot array with intrusive prev/next index links (the
- * LRU chain) plus a FlatIndex for id -> slot lookup. No per-operation
- * allocation; an LRU refresh rewires three slots' links in place.
+ * LRU chain), plus a table of one slot number per position-map block:
+ * the position-map blocks are one dense id range after the data
+ * blocks, so id -> slot is an array index (4 B per position-map
+ * block). No per-operation allocation; an LRU refresh rewires three
+ * slots' links in place.
  */
 class PosMapBlockCache
 {
   public:
-    explicit PosMapBlockCache(std::uint32_t entries);
+    /** @param entries capacity in blocks; the cacheable blocks are
+     *  the @p num_blocks ids from @p first_block on. Any other id
+     *  panics. */
+    PosMapBlockCache(std::uint32_t entries, BlockId first_block,
+                     std::uint64_t num_blocks);
 
     /** @return true if @p pm_block is cached; refreshes LRU. */
     bool lookup(BlockId pm_block);
@@ -207,7 +213,7 @@ class PosMapBlockCache
     void insert(BlockId pm_block);
 
     bool contains(BlockId pm_block) const;
-    std::size_t size() const { return index_.size(); }
+    std::size_t size() const { return used_; }
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -222,6 +228,15 @@ class PosMapBlockCache
         std::uint32_t next = kNil;
     };
 
+    /** Index of @p pm_block in slotOf_; panics outside the range. */
+    std::uint64_t indexOf(BlockId pm_block) const
+    {
+        const std::uint64_t i = pm_block.value() - first_.value();
+        panic_if(i >= slotOf_.size(), "PLB: block ", pm_block,
+                 " is not a position-map block");
+        return i;
+    }
+
     /** Unhook @p slot from the chain (it must be linked). */
     void unlink(std::uint32_t slot);
     /** Make @p slot the MRU head. */
@@ -233,7 +248,10 @@ class PosMapBlockCache
     std::uint32_t used_ = 0;
     std::uint32_t head_ = kNil; // MRU
     std::uint32_t tail_ = kNil; // LRU
-    FlatIndex index_;
+    BlockId first_;
+    /** Slot of each cacheable block, indexed by its id minus first_;
+     *  kNil when the block is not cached. */
+    std::vector<std::uint32_t> slotOf_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "oram/scheme.hh"
 
 #include "obs/trace.hh"
-#include "oram/evict_kernel.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/annotations.hh"
@@ -94,32 +93,33 @@ OramScheme::drainPath(Leaf leaf)
 PRORAM_OBLIVIOUS PRORAM_HOT void
 OramScheme::evictGreedy(Leaf leaf)
 {
-    // Counting-sort eviction: classify every stash slot's deepest
-    // eligible level in one vectorized sweep over the contiguous leaf
-    // lane, histogram the slots per level, then stable-scatter the
-    // slot numbers into one flat array grouped deepest level first.
-    // Insertion order within a level is preserved: it fixes which
-    // blocks win a contended bucket, and the fixed-seed goldens pin
-    // those placements.
+    // Counting-sort eviction: one sweep over the contiguous leaf lane
+    // classifies every stash slot's deepest eligible level
+    // (BinaryTree::commonLevel) and histograms the slots per level,
+    // then the slot numbers are stable-scattered into one flat array
+    // grouped deepest level first. Insertion order within a level is
+    // preserved: it fixes which blocks win a contended bucket, and
+    // the fixed-seed goldens pin those placements.
     const std::uint32_t levels = tree_.levels();
     const std::uint32_t slots =
         static_cast<std::uint32_t>(stash_.slotCount());
     reserveScratch(slots);
-    {
-        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
-        evict::classifyLevels(stash_.leafLane(), slots, leaf, levels,
-                              levelScratch_.data());
-    }
 
     const BlockId *ids = stash_.idLane();
     const Leaf *leaves = stash_.leafLane();
     const std::uint64_t *payloads = stash_.dataLane();
     for (std::uint32_t l = 0; l <= levels; ++l)
         histScratch_[l] = 0;
-    for (std::uint32_t s = 0; s < slots; ++s) {
-        panic_if(leaves[s] == kInvalidLeaf, "stash block ", ids[s],
-                 " has no leaf");
-        ++histScratch_[levelScratch_[s]];
+    {
+        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
+        for (std::uint32_t s = 0; s < slots; ++s) {
+            panic_if(leaves[s] == kInvalidLeaf, "stash block ", ids[s],
+                     " has no leaf");
+            const std::uint32_t l =
+                tree_.commonLevel(leaves[s], leaf).value();
+            levelScratch_[s] = l;
+            ++histScratch_[l];
+        }
     }
     std::uint32_t offset = 0;
     for (std::uint32_t l = levels + 1; l-- > 0;) {

@@ -197,8 +197,8 @@ class OramScheme
     // evictGreedy scratch, pre-sized from tree geometry at
     // construction (see reserveScratch) so even the first paths
     // allocate nothing.
-    /** Per-slot eviction level, filled by evict::classifyLevels; a
-     *  placed slot's entry is overwritten with kPlaced. */
+    /** Per-slot eviction level (BinaryTree::commonLevel with the
+     *  path); a placed slot's entry is overwritten with kPlaced. */
     std::vector<std::uint32_t> levelScratch_;
     /** Counting sort: per-level population / start offset / cursor. */
     std::vector<std::uint32_t> histScratch_;

@@ -14,9 +14,9 @@
  * relative order (iteration order stays insertion order - the
  * determinism the eviction placements and replay tests rely on) and
  * rewrites stashSlot for the blocks that moved; eviction runs it once
- * per path (eraseSlotsIf). The leaf lane is what makes the eviction
- * scan vectorizable: evict::classifyLevels streams one contiguous Leaf
- * array with no per-entry struct stride. Cached leaves mirror the
+ * per path (eraseSlotsIf). The leaf lane is what the eviction scan
+ * streams: OramScheme::evictGreedy reads one contiguous Leaf array
+ * with no per-entry struct stride. Cached leaves mirror the
  * position map (PositionMap::setLeaf writes through the slot), so
  * eviction never does a position-map lookup per block per access.
  */

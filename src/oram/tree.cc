@@ -1,7 +1,5 @@
 #include "oram/tree.hh"
 
-#include <bit>
-
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
@@ -54,17 +52,6 @@ BinaryTree::materialize(std::uint64_t chunk)
     chunks_[chunk] = owned_[chunk].get();
     ++chunksMaterialized_;
     PRORAM_TRACE_EVENT("arena", "materialize", "chunk", chunk);
-}
-
-Level
-BinaryTree::commonLevel(Leaf a, Leaf b) const
-{
-    // Paths diverge at the highest differing leaf bit: the shared
-    // depth is levels_ minus the XOR's bit width (equal labels share
-    // the whole path).
-    const std::uint32_t diff = a ^ b;
-    return Level{levels_ -
-                 static_cast<std::uint32_t>(std::bit_width(diff))};
 }
 
 std::uint64_t

@@ -30,6 +30,7 @@
 #ifndef PRORAM_ORAM_TREE_HH
 #define PRORAM_ORAM_TREE_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 
@@ -268,9 +269,18 @@ class BinaryTree
 
     /**
      * Deepest level at which paths @p a and @p b share a bucket
-     * (their lowest common ancestor's level).
+     * (their lowest common ancestor's level): the level a stash block
+     * mapped to @p a can be evicted to on path @p b.
      */
-    Level commonLevel(Leaf a, Leaf b) const;
+    PRORAM_OBLIVIOUS PRORAM_HOT Level commonLevel(Leaf a, Leaf b) const
+    {
+        // Paths diverge at the highest differing leaf bit: the shared
+        // depth is levels_ minus the XOR's bit width (equal labels
+        // share the whole path).
+        const std::uint32_t diff = a ^ b;
+        return Level{levels_ -
+                     static_cast<std::uint32_t>(std::bit_width(diff))};
+    }
 
     /** Total real blocks stored in the tree, by scanning the
      *  allocated chunks (tests and checks only). */

@@ -28,7 +28,9 @@ UnifiedOram::UnifiedOram(const OramConfig &cfg)
     : cfg_(validated(cfg)), space_(cfg_),
       posMap_(space_.numTotalBlocks(),
               static_cast<Leaf>(1ULL << cfg_.levels())),
-      oram_(makeOramScheme(cfg_, posMap_)), plb_(cfg_.plbEntries)
+      oram_(makeOramScheme(cfg_, posMap_)),
+      plb_(cfg_.plbEntries, BlockId{space_.numDataBlocks()},
+           space_.numTotalBlocks() - space_.numDataBlocks())
 {
 }
 

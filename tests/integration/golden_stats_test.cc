@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "oram/evict_kernel.hh"
 #include "sim/experiment.hh"
 #include "sim/system_config.hh"
 #include "trace/benchmarks.hh"
@@ -137,27 +136,6 @@ TEST(GoldenStats, Fig08TinyPeriodicModeMatchesCapture)
         EXPECT_EQ(r.merges, g.merges);
         EXPECT_EQ(r.breaks, g.breaks);
     }
-}
-
-TEST(GoldenStats, GoldensHoldUnderEveryEvictKernel)
-{
-    // The eviction-scan kernels must be interchangeable down to the
-    // last stat: re-run one golden cell with dispatch pinned to each
-    // variant the host can run.
-    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
-    const Golden &g = kGoldens[1]; // cholesky / OramStatic
-    for (const evict::Kernel k :
-         {evict::Kernel::Scalar, evict::Kernel::Swar,
-          evict::Kernel::Avx2}) {
-        if (!evict::kernelAvailable(k))
-            continue;
-        evict::forceKernel(k);
-        const SimResult r =
-            exp.runBenchmark(g.scheme, profileByName(g.profile));
-        SCOPED_TRACE(std::string("kernel=") + evict::kernelName(k));
-        expectGolden(g, r);
-    }
-    evict::forceKernel(evict::Kernel::Auto);
 }
 
 } // namespace

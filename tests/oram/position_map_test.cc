@@ -125,7 +125,7 @@ TEST(PositionMap, OutOfRangePanics)
 
 TEST(Plb, HitMissLru)
 {
-    PosMapBlockCache plb(2);
+    PosMapBlockCache plb(2, 0_id, 4);
     EXPECT_FALSE(plb.lookup(1_id));
     plb.insert(1_id);
     plb.insert(2_id);
@@ -139,7 +139,7 @@ TEST(Plb, HitMissLru)
 
 TEST(Plb, ReinsertRefreshes)
 {
-    PosMapBlockCache plb(2);
+    PosMapBlockCache plb(2, 0_id, 4);
     plb.insert(1_id);
     plb.insert(2_id);
     plb.insert(1_id); // refresh, no eviction
@@ -150,7 +150,7 @@ TEST(Plb, ReinsertRefreshes)
 
 TEST(Plb, CountsHitsAndMisses)
 {
-    PosMapBlockCache plb(4);
+    PosMapBlockCache plb(4, 0_id, 16);
     plb.lookup(9_id);
     plb.insert(9_id);
     plb.lookup(9_id);
@@ -160,7 +160,25 @@ TEST(Plb, CountsHitsAndMisses)
 
 TEST(Plb, ZeroCapacityRejected)
 {
-    EXPECT_THROW(PosMapBlockCache(0), SimFatal);
+    EXPECT_THROW(PosMapBlockCache(0, 0_id, 4), SimFatal);
+}
+
+TEST(Plb, IdOutsideThePosMapRangePanics)
+{
+    // The slot table covers exactly the position-map blocks: an id
+    // below or past the range is a caller bug, not a miss.
+    PosMapBlockCache plb(2, 10_id, 4);
+    for (const BlockId b : {9_id, 14_id, kInvalidBlock}) {
+        EXPECT_THROW(plb.lookup(b), SimPanic) << "block " << b;
+        EXPECT_THROW(plb.insert(b), SimPanic) << "block " << b;
+        EXPECT_THROW(plb.contains(b), SimPanic) << "block " << b;
+    }
+    EXPECT_EQ(plb.misses(), 0u);
+    EXPECT_EQ(plb.size(), 0u);
+    plb.insert(10_id); // both ends of the range are cacheable
+    plb.insert(13_id);
+    EXPECT_TRUE(plb.contains(10_id));
+    EXPECT_TRUE(plb.contains(13_id));
 }
 
 TEST(Plb, MatchesReferenceLruModel)
@@ -170,7 +188,7 @@ TEST(Plb, MatchesReferenceLruModel)
     // the same randomized lookup/insert stream and compare contents
     // and hit counts throughout.
     constexpr std::uint32_t kCap = 8;
-    PosMapBlockCache plb(kCap);
+    PosMapBlockCache plb(kCap, 0_id, 32);
     std::list<BlockId> model; // front = most recent
     Rng rng(31);
     std::uint64_t model_hits = 0;

@@ -166,6 +166,25 @@ TEST(UnifiedOram, PlbThrashingStillCorrect)
     EXPECT_TRUE(checkIntegrity(u).ok);
 }
 
+TEST(UnifiedOram, OnChipPosMapLeavesThePlbEmpty)
+{
+    // 16 data blocks fit the on-chip table: no position-map block is
+    // tree-resident, the PLB's slot table is empty, and every walk
+    // is free without consulting it.
+    OramConfig cfg = recCfg();
+    cfg.numDataBlocks = 16;
+    UnifiedOram u(cfg);
+    u.initialize();
+    ASSERT_EQ(u.space().numTotalBlocks(), 16u);
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(u.posMapWalk(BlockId{i}).pathAccesses(), 0u);
+        EXPECT_TRUE(u.posMapCached(BlockId{i}));
+    }
+    EXPECT_EQ(u.plb().size(), 0u);
+    EXPECT_EQ(u.plb().hits() + u.plb().misses(), 0u);
+    EXPECT_TRUE(checkIntegrity(u).ok);
+}
+
 TEST(UnifiedOram, WalkOfPosMapBlockItself)
 {
     UnifiedOram u(recCfg());

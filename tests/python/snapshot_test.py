@@ -135,6 +135,35 @@ class SnapshotToolTest(unittest.TestCase):
         self.assertEqual(res.returncode, 1)
         self.assertIn("REGRESSED", res.stdout)
 
+    def test_compare_lists_benchmarks_on_one_side_only(self):
+        # A deleted benchmark (snapshot only) or a new one (fresh run
+        # only) has no ratio; it is named, and the exit code still
+        # reflects regressions only.
+        self.write_binary({
+            "benchmarks": [
+                {
+                    "name": "BM_Fast_median",
+                    "run_type": "aggregate",
+                    "aggregate_name": "median",
+                    "real_time": 100.0,
+                },
+                {
+                    "name": "BM_New_median",
+                    "run_type": "aggregate",
+                    "aggregate_name": "median",
+                    "real_time": 50.0,
+                },
+            ]
+        })
+        res = self.run_tool("--compare-vs", "base")
+        self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertIn("only in 'base': BM_Slow\n", res.stdout)
+        self.assertIn("not in 'base': BM_New\n", res.stdout)
+        self.write_binary(FAKE_REPORT)
+        res = self.run_tool("--compare-vs", "base")
+        self.assertNotIn("only in", res.stdout)
+        self.assertNotIn("not in", res.stdout)
+
     def test_compare_and_label_are_exclusive(self):
         res = self.run_tool("--compare-vs", "base", "--label", "x",
                             "--description", "d")

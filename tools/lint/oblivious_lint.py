@@ -358,7 +358,8 @@ def check_banned_api_text(report: FileReport, relpath: str, clean: str,
             emit(report, raw_lines, line_of(clean, m.start()),
                  "banned-api",
                  "std::unordered_map is banned in hot-path files; use "
-                 "util::FlatIndex or a dense array")
+                 "a dense array indexed by id (as the stash and the "
+                 "PLB do)")
     # Include paths are string literals, blanked in `clean`: the
     # scheme-header ban scans the raw lines.
     if not in_dirs(relpath, SCHEME_ALLOWED_DIRS):
