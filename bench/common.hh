@@ -12,6 +12,7 @@
 
 #include "sim/experiment.hh"
 #include "stats/table.hh"
+#include "util/thread_pool.hh"
 
 namespace proram::bench
 {
@@ -27,7 +28,7 @@ banner(const std::string &title, const std::string &expectation)
     if (scale != 1.0)
         std::printf("(PRORAM_BENCH_SCALE=%.3g - shortened traces)\n",
                     scale);
-    const unsigned threads = Experiment::benchThreadsFromEnv();
+    const unsigned threads = util::ThreadPool::defaultThreadCount();
     if (threads > 1)
         std::printf("(PRORAM_BENCH_THREADS=%u - parallel grid cells)\n",
                     threads);

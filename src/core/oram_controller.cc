@@ -232,30 +232,12 @@ OramController::demandAccess(Cycles now, BlockId block, OpType op)
 }
 
 void
-OramController::writebackOne(Cycles now, BlockId block)
+OramController::writebackAccess(Cycles now, BlockId block)
 {
     // Timing-only write-back: remap the super block, preserve payload
     // (the trace CPU carries no data).
     PRORAM_TRACE_SCOPE_ARG("controller", "writeback", "block", block);
     serveRequest(now, block, true, OpType::Write, nullptr, nullptr);
-}
-
-void
-OramController::writebackAccess(Cycles now, BlockId block)
-{
-    writebackOne(now, block);
-}
-
-void
-OramController::writebackBatch(Cycles now, const BlockId *blocks,
-                               std::size_t n)
-{
-    // One virtual entry for the whole batch; per-request scheduling,
-    // epoch rolls and counters are unchanged (and must stay so -
-    // maybeRollEpoch reads the running counts request by request), so
-    // results are identical to n writebackAccess() calls.
-    for (std::size_t i = 0; i < n; ++i)
-        writebackOne(now, blocks[i]);
 }
 
 Cycles

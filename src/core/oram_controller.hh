@@ -80,8 +80,6 @@ class OramController : public MemBackend, public LlcProbe
     // MemBackend
     Cycles demandAccess(Cycles now, BlockId block, OpType op) override;
     void writebackAccess(Cycles now, BlockId block) override;
-    void writebackBatch(Cycles now, const BlockId *blocks,
-                        std::size_t n) override;
     void onDemandTouch(Cycles now, BlockId block) override;
     void finalize(Cycles end) override;
     std::uint64_t memAccessCount() const override;
@@ -167,9 +165,6 @@ class OramController : public MemBackend, public LlcProbe
 
     /** Refresh the policy's Eq. 1 rate window. */
     void maybeRollEpoch(Cycles now);
-
-    /** Shared body of writebackAccess / writebackBatch. */
-    void writebackOne(Cycles now, BlockId block);
 
     /** Run the dummy accesses of idle periodic slots up to @p now,
      *  with observability reporting. */

@@ -34,10 +34,6 @@ struct RequestBatch
     std::size_t size = 0;
 };
 
-/** Batch size from $PRORAM_BATCH, clamped to [1, kCapacity];
- *  kDefaultSize when unset or unparsable. */
-std::size_t batchSizeFromEnv();
-
 } // namespace proram
 
 #endif // PRORAM_CPU_REQUEST_BATCH_HH

@@ -1,7 +1,6 @@
 #include "cpu/trace_cpu.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/trace.hh"
 #include "util/bits.hh"
@@ -10,25 +9,12 @@
 namespace proram
 {
 
-std::size_t
-batchSizeFromEnv()
-{
-    const char *env = std::getenv("PRORAM_BATCH");
-    if (!env)
-        return RequestBatch::kDefaultSize;
-    const long v = std::atol(env);
-    if (v <= 0)
-        return RequestBatch::kDefaultSize;
-    return std::min<std::size_t>(static_cast<std::size_t>(v),
-                                 RequestBatch::kCapacity);
-}
-
 TraceCpu::TraceCpu(CacheHierarchy &hierarchy, MemBackend &backend,
                    std::uint32_t line_bytes, std::size_t batch_size)
     : hierarchy_(hierarchy), backend_(backend),
       lineShift_(log2Floor(line_bytes)),
       batchSize_(batch_size == 0
-                     ? batchSizeFromEnv()
+                     ? RequestBatch::kDefaultSize
                      : std::min(batch_size, RequestBatch::kCapacity))
 {
     fatal_if(!isPowerOf2(line_bytes), "line size must be a power of two");
@@ -101,7 +87,7 @@ TraceCpu::run(TraceGenerator &gen)
 
     // Drain: dirty lines must eventually reach memory; charging them
     // keeps the energy metric honest across schemes. The drain list
-    // goes down as one batch (the backend devirtualizes the loop).
+    // goes down as one batch.
     const std::vector<BlockId> dirty = hierarchy_.drainDirty();
     backend_.writebackBatch(cycle, dirty.data(), dirty.size());
     res.writebacks += dirty.size();

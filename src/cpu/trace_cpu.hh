@@ -40,7 +40,7 @@ class TraceCpu
 {
   public:
     /** @param batch_size records decoded per fillBatch call, clamped
-     *  to [1, RequestBatch::kCapacity]; 0 = $PRORAM_BATCH / default. */
+     *  to [1, RequestBatch::kCapacity]; 0 = RequestBatch::kDefaultSize. */
     TraceCpu(CacheHierarchy &hierarchy, MemBackend &backend,
              std::uint32_t line_bytes, std::size_t batch_size = 0);
 
@@ -50,8 +50,6 @@ class TraceCpu
      * and let the backend settle periodic dummies.
      */
     CpuRunResult run(TraceGenerator &gen);
-
-    std::size_t batchSize() const { return batchSize_; }
 
   private:
     CacheHierarchy &hierarchy_;

@@ -45,9 +45,6 @@ class DramModel
      */
     Cycles schedule(Cycles now);
 
-    /** Cycle at which the bus next becomes free. */
-    Cycles busFreeAt() const { return busFreeAt_; }
-
     /** Bus-occupancy cycles of one line transfer. */
     Cycles transferCycles() const { return transferCycles_; }
 

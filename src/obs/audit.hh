@@ -161,10 +161,6 @@ class ObliviousnessAuditor
     AuditReport report() const;
 
     // Raw material for differential replay and the tests.
-    const std::vector<std::uint64_t> &allBucketCounts() const
-    {
-        return allBuckets_;
-    }
     const std::vector<std::uint64_t> &realBucketCounts() const
     {
         return realBuckets_;

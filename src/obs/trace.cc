@@ -1,8 +1,8 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <ostream>
@@ -10,7 +10,7 @@
 #include <thread>
 
 #include "stats/json.hh"
-#include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram::obs
@@ -53,11 +53,8 @@ struct EnvTraceSession
 
     EnvTraceSession()
     {
-        const char *trace = std::getenv("PRORAM_TRACE");
-        const char *path = std::getenv("PRORAM_TRACE_FILE");
-        const bool on = trace && trace[0] != '\0' &&
-                        !(trace[0] == '0' && trace[1] == '\0');
-        if (!on && !path)
+        const char *path = env::get("PRORAM_TRACE_FILE");
+        if (!env::flag("PRORAM_TRACE") && !path)
             return;
         file = path ? path : "proram_trace.json";
         active = true;
@@ -101,22 +98,15 @@ TraceSink::TraceSink()
         catCounts_[i].store(0, std::memory_order_relaxed);
     }
     epochNs_ = steadyNowNs();
-    std::size_t cap = std::size_t{1} << 18; // ~256k events
-    if (const char *env = std::getenv("PRORAM_TRACE_BUFFER")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            cap = static_cast<std::size_t>(v);
-    }
-    setCapacity(cap);
+    setCapacity(std::size_t{1} << 18); // ~256k events
 }
 
 void
 TraceSink::setCapacity(std::size_t events)
 {
-    std::size_t cap = std::max<std::size_t>(events, 1024);
-    // Round up to a power of two so the ring index is one AND.
-    while ((cap & (cap - 1)) != 0)
-        ++cap;
+    // A power of two, so the ring index is one AND.
+    const std::size_t cap =
+        std::bit_ceil(std::max<std::size_t>(events, 1024));
     ring_ = std::make_unique<Slot[]>(cap);
     capacity_ = cap;
     mask_ = cap - 1;

@@ -1,9 +1,9 @@
 #include "oram/config.hh"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -38,31 +38,9 @@ OramConfig::resolvedScheme() const
 {
     if (scheme != SchemeKind::Default)
         return scheme;
-    const char *env = std::getenv("PRORAM_SCHEME");
-    return env != nullptr ? parseSchemeKind(env) : SchemeKind::Path;
+    const char *name = env::get("PRORAM_SCHEME");
+    return name != nullptr ? parseSchemeKind(name) : SchemeKind::Path;
 }
-
-namespace
-{
-
-std::uint32_t
-resolveRingKnob(std::uint32_t configured, const char *env_name,
-                std::uint32_t fallback, std::uint32_t max)
-{
-    if (configured != 0)
-        return configured;
-    const char *env = std::getenv(env_name);
-    if (env == nullptr)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    fatal_if(end == env || *end != '\0' || v == 0 || v > max,
-             env_name, ": invalid value '", env, "' (want 1..", max,
-             ")");
-    return static_cast<std::uint32_t>(v);
-}
-
-} // namespace
 
 std::uint32_t
 OramConfig::resolvedRingS() const
@@ -70,13 +48,13 @@ OramConfig::resolvedRingS() const
     // Capped at 255: the per-bucket read counters are one byte each
     // so paper-scale trees pay 1 B/bucket of metadata.
     const std::uint32_t fallback = 2 * z < 255 ? 2 * z : 255;
-    return resolveRingKnob(ringS, "PRORAM_RING_S", fallback, 255);
+    return ringS != 0 ? ringS : fallback;
 }
 
 std::uint32_t
 OramConfig::resolvedRingA() const
 {
-    return resolveRingKnob(ringA, "PRORAM_RING_A", 2, 1U << 16);
+    return ringA != 0 ? ringA : 2;
 }
 
 std::uint32_t

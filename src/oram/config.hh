@@ -96,26 +96,26 @@ struct OramConfig
     /**
      * Ring ORAM only: per-bucket dummy-read budget S. A bucket that
      * has served this many one-block reads since its last shuffle is
-     * early-reshuffled. 0 = $PRORAM_RING_S or the built-in default
-     * (2*Z). Ignored by Path ORAM.
+     * early-reshuffled. 0 = the built-in default, 2*Z capped at 255.
+     * Ignored by Path ORAM.
      */
     std::uint32_t ringS = 0;
 
     /**
      * Ring ORAM only: eviction rate A - one deterministic
-     * reverse-lexicographic eviction pass per A accesses. 0 =
-     * $PRORAM_RING_A or the built-in default (2, aggressive enough
-     * for this repo's ~1/Z-utilization trees). Ignored by Path ORAM.
+     * reverse-lexicographic eviction pass per A accesses. 0 = the
+     * built-in default, 2 (aggressive enough for this repo's
+     * ~1/Z-utilization trees). Ignored by Path ORAM.
      */
     std::uint32_t ringA = 0;
 
     /** The protocol a tree will actually run with (env resolved). */
     SchemeKind resolvedScheme() const;
 
-    /** Ring dummy-read budget S after env resolution (>= 1). */
+    /** Ring dummy-read budget S with the default applied (>= 1). */
     std::uint32_t resolvedRingS() const;
 
-    /** Ring eviction rate A after env resolution (>= 1). */
+    /** Ring eviction rate A with the default applied (>= 1). */
     std::uint32_t resolvedRingA() const;
 
     /**

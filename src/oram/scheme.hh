@@ -108,7 +108,6 @@ class OramScheme
         return tree_.nodeOnPath(leaf, level);
     }
     std::uint32_t levels() const { return tree_.levels(); }
-    std::uint32_t bucketSlots() const { return tree_.z(); }
     std::uint64_t numLeaves() const { return tree_.numLeaves(); }
     /** @} */
 

@@ -1,14 +1,13 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <mutex>
 
 #include "trace/trace_file.hh"
 
+#include "util/env.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -102,7 +101,7 @@ Experiment::appendMetrics(System &system)
     // append is serialized; ordering across cells is scheduling-
     // dependent, which is fine for JSONL (each line is labeled).
     static std::mutex mtx;
-    const char *path = std::getenv("PRORAM_METRICS_FILE");
+    const char *path = env::get("PRORAM_METRICS_FILE");
     if (!path || path[0] == '\0')
         return;
     const std::string line = system.metricsJson();
@@ -120,7 +119,7 @@ Experiment::runGrid(const std::vector<GridCell> &cells,
                     unsigned threads) const
 {
     if (threads == 0)
-        threads = benchThreadsFromEnv();
+        threads = util::ThreadPool::defaultThreadCount();
 
     std::vector<SimResult> results(cells.size());
     if (threads == 1 || cells.size() <= 1) {
@@ -143,12 +142,6 @@ Experiment::runGrid(const std::vector<GridCell> &cells,
     return results;
 }
 
-unsigned
-Experiment::benchThreadsFromEnv()
-{
-    return util::ThreadPool::defaultThreadCount();
-}
-
 double
 mean(const std::vector<double> &values)
 {
@@ -163,15 +156,7 @@ mean(const std::vector<double> &values)
 double
 benchScaleFromEnv()
 {
-    const char *env = std::getenv("PRORAM_BENCH_SCALE");
-    if (!env)
-        return 1.0;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    fatal_if(end == env || *end != '\0' || !std::isfinite(v) || v <= 0.0,
-             "PRORAM_BENCH_SCALE: invalid value '", env,
-             "' (want a finite number > 0)");
-    return v;
+    return env::positive("PRORAM_BENCH_SCALE", 1.0);
 }
 
 } // namespace proram

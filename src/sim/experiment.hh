@@ -80,16 +80,14 @@ class Experiment
 
     /**
      * Run every cell and return results in cell order. Cells execute
-     * on @p threads pool workers (0 = benchThreadsFromEnv());
-     * threads == 1 degenerates to a plain serial loop. Results are
-     * bit-identical either way; a cell's exception is rethrown after
-     * in-flight cells finish.
+     * on @p threads pool workers (0 =
+     * util::ThreadPool::defaultThreadCount()); threads == 1
+     * degenerates to a plain serial loop. Results are bit-identical
+     * either way; a cell's exception is rethrown after in-flight
+     * cells finish.
      */
     std::vector<SimResult> runGrid(const std::vector<GridCell> &cells,
                                    unsigned threads = 0) const;
-
-    /** Worker count from $PRORAM_BENCH_THREADS (default: all cores). */
-    static unsigned benchThreadsFromEnv();
 
     SystemConfig &baseConfig() { return base_; }
     const SystemConfig &baseConfig() const { return base_; }

@@ -7,14 +7,15 @@
  *
  * This is what a downstream user embeds to evaluate an application on
  * PrORAM without writing trace files: call read()/write(), then ask
- * for cycles and statistics.
+ * for cycles and statistics. The stack is a System built from the
+ * config, so the facade runs exactly what a figure run of the same
+ * scheme runs: the stream prefetcher under OramPrefetch, and the
+ * obliviousness auditor under SystemConfig::audit or PRORAM_AUDIT=1.
  */
 
 #ifndef PRORAM_SIM_SECURE_MEMORY_HH
 #define PRORAM_SIM_SECURE_MEMORY_HH
 
-#include <cstddef>
-#include <memory>
 #include <unordered_map>
 
 #include "sim/system.hh"
@@ -32,7 +33,6 @@ class SecureMemory
   public:
     /** @param cfg must select an ORAM scheme. */
     explicit SecureMemory(const SystemConfig &cfg);
-    ~SecureMemory();
 
     SecureMemory(const SecureMemory &) = delete;
     SecureMemory &operator=(const SecureMemory &) = delete;
@@ -43,62 +43,35 @@ class SecureMemory
     /** Write the word at byte address @p addr. */
     void write(Addr addr, std::uint64_t value);
 
-    /**
-     * Batched reads: out[i] = value at addrs[i]. Semantically
-     * identical to n read() calls in order; the run counters are
-     * aggregated once per batch instead of once per access.
-     */
-    void readBatch(const Addr *addrs, std::uint64_t *out,
-                   std::size_t n);
-
-    /** Batched writes: addrs[i] = values[i], in order. */
-    void writeBatch(const Addr *addrs, const std::uint64_t *values,
-                    std::size_t n);
-
     /** Advance the clock without memory activity (compute phase). */
-    void compute(Cycles cycles) { cycle_ += cycles; }
+    void compute(Cycles cycles) { run_.cycles += cycles; }
 
     /** Current simulated cycle. */
-    Cycles now() const { return cycle_; }
+    Cycles now() const { return run_.cycles; }
 
-    /** Snapshot of run statistics so far. */
-    SimResult stats() const;
+    /** Snapshot of run statistics so far (System::result: panics
+     *  if the auditor saw a leak). */
+    SimResult stats() const { return system_.result(run_); }
 
     /** gem5-stats.txt-style dump of the component counters. */
-    std::string dumpStats() const;
+    std::string dumpStats() const { return system_.dumpStats(); }
 
-    OramController &controller() { return *controller_; }
-    const SystemConfig &config() const { return cfg_; }
+    OramController &controller() { return *system_.controller(); }
+    const SystemConfig &config() const { return system_.config(); }
 
     /** Addressable capacity in bytes. */
     std::uint64_t capacityBytes() const;
 
   private:
-    /** Per-batch counter deltas, flushed into the members once per
-     *  read()/write() (batch of one) or per *Batch() call. */
-    struct AccessCounts
-    {
-        std::uint64_t references = 0;
-        std::uint64_t llcMisses = 0;
-        std::uint64_t writebacks = 0;
-    };
-
     std::uint64_t access(Addr addr, OpType op, std::uint64_t value);
-    std::uint64_t accessOne(Addr addr, OpType op, std::uint64_t value,
-                            AccessCounts &counts);
-    void flushCounts(const AccessCounts &counts);
     BlockId blockOf(Addr addr) const;
 
-    SystemConfig cfg_;
-    std::unique_ptr<CacheHierarchy> hierarchy_;
-    std::unique_ptr<OramController> controller_;
+    System system_;
     /** Logical value of every written block (reference semantics;
      *  also cross-checked against the ORAM's functional payload). */
     std::unordered_map<BlockId, std::uint64_t> shadow_;
-    Cycles cycle_{0};
-    std::uint64_t references_ = 0;
-    std::uint64_t llcMisses_ = 0;
-    std::uint64_t writebacks_ = 0;
+    /** The clock and the core-side counts of the accesses so far. */
+    CpuRunResult run_;
     std::uint32_t lineShift_;
 };
 

@@ -1,25 +1,12 @@
 #include "sim/system.hh"
 
-#include <cstdlib>
-
 #include "obs/metrics.hh"
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
-
-namespace
-{
-
-bool
-auditEnvEnabled()
-{
-    const char *env = std::getenv("PRORAM_AUDIT");
-    return env && env[0] != '\0' && env[0] != '0';
-}
-
-} // namespace
 
 System::System(const SystemConfig &cfg) : cfg_(cfg)
 {
@@ -55,7 +42,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
       }
     }
 
-    if (controller_ && (cfg_.audit.enabled || auditEnvEnabled())) {
+    if (controller_ && (cfg_.audit.enabled || env::flag("PRORAM_AUDIT"))) {
         const PeriodicScheduler &sched = controller_->scheduler();
         const std::uint64_t num_leaves = 1ULL << cfg_.oram.levels();
         // The dummy-fill identity (grant start = previous horizon +
@@ -119,8 +106,12 @@ System::metricsJson() const
 SimResult
 System::run(TraceGenerator &gen)
 {
-    const CpuRunResult cpu = cpu_->run(gen);
+    return result(cpu_->run(gen));
+}
 
+SimResult
+System::result(const CpuRunResult &cpu) const
+{
     SimResult res;
     res.scheme = schemeName(cfg_.scheme);
     res.cycles = cpu.cycles;
@@ -128,16 +119,9 @@ System::run(TraceGenerator &gen)
     res.llcMisses = cpu.llcMisses;
     res.writebacks = cpu.writebacks;
     res.memAccesses = backend_->memAccessCount();
-
-    finishOramResult(res);
-    return res;
-}
-
-void
-System::finishOramResult(SimResult &res) const
-{
     if (!controller_)
-        return;
+        return res;
+
     const ControllerStats &cs = controller_->stats();
     const PolicyStats &ps = controller_->policyStats();
     res.pathAccesses = cs.pathAccesses;
@@ -157,6 +141,7 @@ System::finishOramResult(SimResult &res) const
                  "obliviousness audit FAILED for scheme ",
                  schemeName(cfg_.scheme), "\n", rep.summary());
     }
+    return res;
 }
 
 namespace
@@ -190,13 +175,10 @@ System::runQueue(const std::vector<TraceRecord> &records,
             payloads != nullptr ? &(*payloads)[i] : nullptr);
     }
 
-    SimResult res;
-    res.scheme = schemeName(cfg_.scheme);
-    res.cycles = controller_->busyUntil();
-    res.references = records.size();
-    res.memAccesses = backend_->memAccessCount();
-    finishOramResult(res);
-    return res;
+    CpuRunResult run;
+    run.cycles = controller_->busyUntil();
+    run.references = records.size();
+    return result(run);
 }
 
 } // namespace proram

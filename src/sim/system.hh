@@ -69,6 +69,14 @@ class System
     SimResult run(TraceGenerator &gen);
 
     /**
+     * The run's SimResult: the core-side counts @p cpu plus the
+     * backend's and the controller's counters. Panics if the auditor
+     * saw a leak. run(), runQueue() and SecureMemory::stats() all
+     * report through it.
+     */
+    SimResult result(const CpuRunResult &cpu) const;
+
+    /**
      * Serial queue drive: issue @p records back to back, each one
      * OramController::dataAccess at the controller's busy-until clock.
      * Bypasses the cache hierarchy - every record is one ORAM access.
@@ -98,10 +106,6 @@ class System
     const SystemConfig &config() const { return cfg_; }
 
   private:
-    /** Fill @p res's ORAM detail from the controller (no-op for DRAM
-     *  schemes) and fail the run if the auditor saw a leak. */
-    void finishOramResult(SimResult &res) const;
-
     SystemConfig cfg_;
     std::unique_ptr<CacheHierarchy> hierarchy_;
     std::unique_ptr<MemBackend> backend_;

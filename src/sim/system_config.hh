@@ -44,9 +44,8 @@ struct SystemConfig
 
     /**
      * Trace records the core decodes per batch (the drive-loop
-     * pipeline; results are bit-identical for every size). 0 = take
-     * $PRORAM_BATCH / the built-in default. Capped at
-     * RequestBatch::kCapacity.
+     * pipeline; results are bit-identical for every size). 0 =
+     * RequestBatch::kDefaultSize. Capped at RequestBatch::kCapacity.
      */
     std::uint32_t cpuBatch = 0;
 
@@ -57,8 +56,8 @@ struct SystemConfig
 
     /**
      * Obliviousness auditor (ORAM schemes only; ignored for DRAM).
-     * Also enableable per-run with the PRORAM_AUDIT env var. A failed
-     * audit at end-of-run is a panic: the simulated hardware leaked.
+     * Also enableable per-run with PRORAM_AUDIT=1. A failed audit at
+     * end-of-run is a panic: the simulated hardware leaked.
      */
     obs::AuditConfig audit{};
 

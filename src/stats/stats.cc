@@ -48,30 +48,6 @@ Distribution::reset()
     sum_ = min_ = max_ = 0.0;
 }
 
-Histogram::Histogram(std::size_t num_buckets, double bucket_width)
-    : counts_(num_buckets, 0), bucketWidth_(bucket_width)
-{
-    fatal_if(num_buckets == 0, "Histogram needs at least one bucket");
-    fatal_if(bucket_width <= 0.0, "Histogram bucket width must be > 0");
-}
-
-void
-Histogram::sample(double v)
-{
-    auto idx = static_cast<std::size_t>(std::max(0.0, v) / bucketWidth_);
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
-    ++total_;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-}
-
 void
 LogHistogram::sample(std::uint64_t v)
 {

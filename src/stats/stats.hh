@@ -60,29 +60,6 @@ class Distribution
 };
 
 /**
- * Fixed-bucket histogram over [0, buckets*bucketWidth); out-of-range
- * samples clamp into the last bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(std::size_t num_buckets, double bucket_width);
-
-    void sample(double v);
-
-    std::size_t numBuckets() const { return counts_.size(); }
-    double bucketWidth() const { return bucketWidth_; }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    std::uint64_t total() const { return total_; }
-    void reset();
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    double bucketWidth_;
-    std::uint64_t total_ = 0;
-};
-
-/**
  * Log2-bucketed histogram over unsigned samples: bucket i counts
  * values whose bit width is i, i.e. bucket 0 holds v == 0, bucket i
  * holds v in [2^(i-1), 2^i). Constant 65-bucket footprint covers the

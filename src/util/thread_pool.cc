@@ -1,9 +1,8 @@
 #include "util/thread_pool.hh"
 
-#include <cstdlib>
 #include <limits>
 
-#include "util/logging.hh"
+#include "util/env.hh"
 
 namespace proram::util
 {
@@ -61,19 +60,10 @@ ThreadPool::workerLoop() PRORAM_NO_THREAD_SAFETY_ANALYSIS
 unsigned
 ThreadPool::defaultThreadCount()
 {
-    if (const char *env = std::getenv("PRORAM_BENCH_THREADS")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        // strtoull negates a leading '-' and saturates on overflow;
-        // both land outside 1..UINT_MAX.
-        fatal_if(end == env || *end != '\0' || v == 0 ||
-                     v > std::numeric_limits<unsigned>::max(),
-                 "PRORAM_BENCH_THREADS: invalid value '", env,
-                 "' (want a positive integer)");
-        return static_cast<unsigned>(v);
-    }
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    const auto n = env::count("PRORAM_BENCH_THREADS", hw == 0 ? 1 : hw, kMax);
+    return static_cast<unsigned>(n);
 }
 
 } // namespace proram::util

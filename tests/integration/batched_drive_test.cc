@@ -10,9 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "cpu/request_batch.hh"
 #include "sim/experiment.hh"
 #include "trace/benchmarks.hh"
 
@@ -86,18 +83,6 @@ TEST(BatchedDrive, ReplayFastPathMatchesLiveGenerator)
     const SimResult replay =
         exp.runReplay(MemScheme::OramDynamic, records);
     expectSameResult(live, replay, "replay vs live");
-}
-
-TEST(BatchedDrive, BatchSizeFromEnvClampsToCapacity)
-{
-    ::setenv("PRORAM_BATCH", "9999", 1);
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kCapacity);
-    ::setenv("PRORAM_BATCH", "0", 1); // non-positive: fall to default
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kDefaultSize);
-    ::setenv("PRORAM_BATCH", "17", 1);
-    EXPECT_EQ(batchSizeFromEnv(), 17u);
-    ::unsetenv("PRORAM_BATCH");
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kDefaultSize);
 }
 
 } // namespace

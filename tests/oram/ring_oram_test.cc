@@ -444,17 +444,10 @@ TEST(RingOram, EnvKnobsResolveSchemeAndParameters)
         EXPECT_EQ(cfg.resolvedScheme(), SchemeKind::Path);
     });
 
+    // An explicit ring parameter beats the 2Z default.
     cfg = tinyCfg();
-    withEnv("PRORAM_RING_S", "7", [&] {
-        EXPECT_EQ(cfg.resolvedRingS(), 7u);
-    });
-    withEnv("PRORAM_RING_A", "5", [&] {
-        EXPECT_EQ(cfg.resolvedRingA(), 5u);
-    });
-    cfg.ringS = 9; // explicit beats env
-    withEnv("PRORAM_RING_S", "7", [&] {
-        EXPECT_EQ(cfg.resolvedRingS(), 9u);
-    });
+    cfg.ringS = 9;
+    EXPECT_EQ(cfg.resolvedRingS(), 9u);
 }
 
 TEST(RingOram, DefaultRingParametersDeriveFromZ)

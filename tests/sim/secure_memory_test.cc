@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <string>
 
 #include "oram/integrity.hh"
 #include "util/logging.hh"
@@ -140,6 +142,54 @@ TEST(SecureMemory, StatsAccumulate)
     EXPECT_GT(s.llcMisses, 0u);
     EXPECT_GT(s.pathAccesses, s.llcMisses);
     EXPECT_GT(s.merges, 0u);
+}
+
+TEST(SecureMemory, OramPrefetchRunsTheStreamPrefetcher)
+{
+    // Fig. 5's oram_pre: the facade runs the stack System builds for
+    // the scheme, stream prefetcher included.
+    SecureMemory mem(memCfg(MemScheme::OramPrefetch));
+    for (Addr a = 0; a < 2048 * 128; a += 128)
+        mem.read(a);
+    EXPECT_GT(mem.controller().stats().traditionalPrefetches, 0u);
+}
+
+TEST(SecureMemory, AuditorFollowsConfigAndEnv)
+{
+    // A critical value no run can meet: every evaluated leaf check
+    // fails, so stats() panics exactly when an auditor is attached.
+    SystemConfig cfg = memCfg(MemScheme::OramBaseline);
+    cfg.audit.minSamples = 1;
+    cfg.audit.chiSquareCritical = 1e-12;
+    const auto audit_panics = [](const SystemConfig &c) {
+        SecureMemory mem(c);
+        for (Addr a = 0; a < 600 * 128; a += 128)
+            mem.read(a);
+        try {
+            mem.stats();
+        } catch (const SimPanic &) {
+            return true;
+        }
+        return false;
+    };
+
+    // The suite itself may run under PRORAM_AUDIT=1 (CI's audited
+    // sanitize step does exactly that); save and restore it.
+    const char *ambient = std::getenv("PRORAM_AUDIT");
+    const std::string saved = ambient ? ambient : "";
+
+    ::unsetenv("PRORAM_AUDIT");
+    EXPECT_FALSE(audit_panics(cfg));
+    cfg.audit.enabled = true;
+    EXPECT_TRUE(audit_panics(cfg));
+    cfg.audit.enabled = false;
+    ::setenv("PRORAM_AUDIT", "1", 1);
+    EXPECT_TRUE(audit_panics(cfg));
+
+    if (ambient)
+        ::setenv("PRORAM_AUDIT", saved.c_str(), 1);
+    else
+        ::unsetenv("PRORAM_AUDIT");
 }
 
 TEST(SecureMemory, PeriodicModeWorksFunctionally)

@@ -57,27 +57,6 @@ TEST(Distribution, ResetClearsState)
     EXPECT_DOUBLE_EQ(d.sum(), 0.0);
 }
 
-TEST(Histogram, BucketsSamples)
-{
-    Histogram h(4, 10.0);
-    h.sample(0.0);   // bucket 0
-    h.sample(9.9);   // bucket 0
-    h.sample(10.0);  // bucket 1
-    h.sample(25.0);  // bucket 2
-    h.sample(1000.); // clamps to bucket 3
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, RejectsDegenerateShape)
-{
-    EXPECT_THROW(Histogram(0, 1.0), SimFatal);
-    EXPECT_THROW(Histogram(4, 0.0), SimFatal);
-}
-
 TEST(StatGroup, RegistersAndReadsScalars)
 {
     Counter c;

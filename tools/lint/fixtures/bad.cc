@@ -84,4 +84,12 @@ wallClockNow()
 // banned-api (hot-path files): node-based hashing on the access path.
 std::unordered_map<std::uint64_t, std::uint64_t> g_table; // BAD
 
+// banned-api: a second reader of the environment (only
+// src/util/env.cc may call getenv).
+inline bool
+privateKnob()
+{
+    return std::getenv("PRORAM_KNOB") != nullptr; // BAD: banned-api
+}
+
 } // namespace proram

@@ -65,6 +65,7 @@ class BadFixture(unittest.TestCase):
         self.assertIn("std::rand", messages)
         self.assertIn("wall-clock", messages)
         self.assertIn("unordered_map", messages)
+        self.assertIn("getenv", messages)
 
     def test_diagnostics_carry_location(self):
         for d in self.diags:
@@ -252,7 +253,8 @@ class SchemeIncludeBan(unittest.TestCase):
 
     def test_allowed_inside_engine_layer(self):
         # BadFixture lints bad.cc under src/oram/: the include there
-        # is legal, so the only banned-api hits are rand/clock/map.
+        # is legal, so the only banned-api hits are
+        # rand/clock/map/getenv.
         diags, _ = lint_fixture("bad.cc")
         hits = [d for d in diags if "scheme header" in d.message]
         self.assertEqual(hits, [])
@@ -262,6 +264,45 @@ class SchemeIncludeBan(unittest.TestCase):
         # clean because fixtures land in src/oram/.
         diags, _ = lint_fixture("good.cc")
         self.assertEqual([], [str(d) for d in diags])
+
+
+class EnvReaderScope(unittest.TestCase):
+    """getenv is banned everywhere in src/ but src/util/env.cc, the
+    one reader of the PRORAM_* knobs; tests may read the environment
+    themselves."""
+
+    STUB = """\
+#include <cstdlib>
+const char *
+knob()
+{
+    return std::getenv("PRORAM_SCHEME");
+}
+"""
+
+    def lint_as(self, subdir, filename):
+        with tempfile.TemporaryDirectory() as tmp:
+            dest_dir = os.path.join(tmp, subdir)
+            os.makedirs(dest_dir)
+            dest = os.path.join(dest_dir, filename)
+            with open(dest, "w") as f:
+                f.write(self.STUB)
+            rel = os.path.relpath(dest, tmp)
+            return oblivious_lint.lint_file_text(dest, rel).diagnostics
+
+    def test_fires_outside_the_reader(self):
+        for subdir, filename in (("src/sim", "system.cc"),
+                                 ("src/util", "thread_pool.cc"),
+                                 ("src/obs", "env.cc")):
+            with self.subTest(path=f"{subdir}/{filename}"):
+                diags = self.lint_as(subdir, filename)
+                self.assertEqual([d.rule for d in diags], ["banned-api"])
+                self.assertIn("util/env.hh", diags[0].message)
+                self.assertEqual(diags[0].line, 5)
+
+    def test_reader_and_tests_exempt(self):
+        self.assertEqual([], self.lint_as("src/util", "env.cc"))
+        self.assertEqual([], self.lint_as("tests/util", "env_test.cc"))
 
 
 class ShippedTree(unittest.TestCase):

@@ -23,7 +23,10 @@ Enforces three project rules over C++ sources (see DESIGN.md,
                  hot-path files (src/oram/, src/core/) -- the seed's
                  unordered_map stash was replaced by the flat SoA
                  stash precisely because node-based hashing wrecks
-                 the access-per-cycle budget. Also: including a
+                 the access-per-cycle budget; getenv outside
+                 src/util/env.cc -- every PRORAM_* knob has one
+                 reader, util/env.hh, which rejects bad values and
+                 unknown names alike. Also: including a
                  concrete scheme header (path_oram.hh / ring_oram.hh)
                  outside src/oram/ -- everything above the engine
                  layer must program against oram/scheme.hh so a new
@@ -100,6 +103,8 @@ STAGE_ANNOTATED = {
 }
 # The one directory allowed to read wall-clock time.
 CLOCK_ALLOWED_DIRS = ("src/obs",)
+# The one file allowed to read the process environment.
+ENV_READER = "src/util/env.cc"
 # Concrete scheme headers only the engine layer may include; everyone
 # else programs against oram/scheme.hh.
 SCHEME_HEADERS = ("path_oram.hh", "ring_oram.hh")
@@ -353,6 +358,13 @@ def check_banned_api_text(report: FileReport, relpath: str, clean: str,
                  "banned-api",
                  "wall-clock reads are banned outside src/obs/ "
                  "(simulation time must come from Cycles)")
+    env_reader = relpath.replace(os.sep, "/") == ENV_READER
+    if in_dirs(relpath, ("src",)) and not env_reader:
+        for m in re.finditer(r"\b(?:secure_)?getenv\b", clean):
+            emit(report, raw_lines, line_of(clean, m.start()),
+                 "banned-api",
+                 "getenv is banned outside src/util/env.cc; read "
+                 "PRORAM_* knobs through util/env.hh")
     if in_dirs(relpath, HOT_PATH_DIRS):
         for m in re.finditer(r"\bstd\s*::\s*unordered_map\b", clean):
             emit(report, raw_lines, line_of(clean, m.start()),
