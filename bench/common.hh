@@ -12,10 +12,28 @@
 
 #include "sim/experiment.hh"
 #include "stats/table.hh"
+#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace proram::bench
 {
+
+/**
+ * Run a figure binary's @p body - its whole main - and return its exit
+ * status. A user error (a bad `PRORAM_*` value or name, or a
+ * configuration System rejects) ends in one `fatal: ...` line on
+ * stderr and status 1 instead of an uncaught SimFatal and an abort.
+ */
+template <typename Body>
+int
+runMain(Body &&body)
+{
+    try {
+        return body();
+    } catch (const SimFatal &e) {
+        return reportFatal(e);
+    }
+}
 
 /** Print the figure banner with the paper-expected shape. */
 inline void

@@ -32,10 +32,8 @@ columnWalk(std::uint64_t stride)
     return std::make_unique<SyntheticGenerator>(c);
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Extension: strided super blocks (paper Sec. 6.2 future work)",
@@ -72,4 +70,12 @@ main()
                 "policy 3 - should approach the walk-1/policy-0 "
                 "gain.)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runMain(run);
 }

@@ -28,10 +28,8 @@ phaseGen()
     return std::make_unique<SyntheticGenerator>(c);
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Figure 6b: Phase-change behaviour (Sm/Am merge x Nb/Ab break)",
@@ -89,4 +87,12 @@ main()
 
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runMain(run);
 }

@@ -44,10 +44,8 @@ runSuite(const Experiment &exp, const char *title,
     std::printf("%s\n", t.str().c_str());
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Figure 9: Prefetch miss rate, static vs dynamic super blocks",
@@ -59,4 +57,12 @@ main()
              {"water_ns", "water_s"});
     runSuite(exp, "Fig. 9b: SPEC06", spec06Suite(), {});
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runMain(run);
 }

@@ -13,8 +13,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 11: DRAM bandwidth sweep (norm. completion time vs "
@@ -52,4 +55,12 @@ main()
         std::printf("%s\n", t.str().c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runMain(run);
 }

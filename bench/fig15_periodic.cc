@@ -67,10 +67,8 @@ runSuite(const Experiment &exp, const char *title,
     std::printf("%s\n", t.str().c_str());
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Figure 15: Periodic ORAM accesses (Oint = 100 cycles)",
@@ -82,4 +80,12 @@ main()
     runSuite(exp, "Fig. 15b: SPEC06", spec06Suite());
     runSuite(exp, "Fig. 15c: DBMS", dbmsSuite());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runMain(run);
 }

@@ -10,8 +10,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner("Table 1: System Configuration",
                   "the parameters of the paper's secure processor");
@@ -62,4 +65,12 @@ main()
 
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runMain(run);
 }

@@ -1,22 +1,36 @@
-# Run BINARY with a misspelled PRORAM_* name in its environment, and
-# pass only when the run fails and its output names the variable:
+# Run every binary of BINARIES with a user error in its environment,
+# and pass only when each run ends the way a user error must: exit
+# status 1 and one `fatal: ...` line naming the variable - not an
+# abort, and not a silent run of the defaults:
 #
-#   cmake -DBINARY=build/bench/table1_config -P bench/unknown_env.cmake
+#   cmake "-DBINARIES=build/bench/table1_config;build/bench/fig13_z_value" \
+#       -P bench/unknown_env.cmake
 #
-# A typo must stop the run instead of silently running the defaults
-# (src/util/env.hh). ctest runs this as unknown_env_name.
+# Two errors are tried (src/util/env.hh). A misspelled PRORAM_* name is
+# rejected by the first read of the environment, which runs during
+# static initialization (src/obs/trace.cc); a bad value of a known knob
+# is rejected by main's first read of it. ctest runs this over every
+# figure binary as unknown_env_name.
 
-set(name PRORAM_SHCEME)
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env ${name}=ring ${BINARY}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE out)
-if(rc EQUAL 0)
-    message(FATAL_ERROR "${BINARY} exited 0 with ${name} set:\n${out}")
-endif()
-string(FIND "${out}" "${name}" at)
-if(at EQUAL -1)
-    message(FATAL_ERROR
-        "${BINARY} failed (${rc}) without naming ${name}:\n${out}")
-endif()
+foreach(binary IN LISTS BINARIES)
+    foreach(setting PRORAM_SHCEME=ring PRORAM_BENCH_THREADS=4x)
+        string(REGEX REPLACE "=.*" "" name "${setting}")
+        execute_process(
+            COMMAND ${CMAKE_COMMAND} -E env ${setting} ${binary}
+            RESULT_VARIABLE rc
+            OUTPUT_VARIABLE out
+            ERROR_VARIABLE out)
+        if(NOT rc STREQUAL "1")
+            message(FATAL_ERROR
+                "${binary} ended with '${rc}', not 1, under ${setting}:\n"
+                "${out}")
+        endif()
+        string(REGEX MATCHALL "(^|\n)fatal: [^\n]*" fatals "${out}")
+        list(LENGTH fatals count)
+        if(NOT count EQUAL 1 OR NOT fatals MATCHES "${name}")
+            message(FATAL_ERROR
+                "${binary} did not print one fatal line naming ${name} "
+                "under ${setting}:\n${out}")
+        endif()
+    endforeach()
+endforeach()

@@ -42,7 +42,9 @@ struct ControllerConfig
     /**
      * Attach a traditional stream prefetcher in front of the ORAM
      * (the Fig. 5 negative result), issuing full ORAM accesses for
-     * predicted blocks.
+     * predicted blocks. System sets it from the scheme (on for
+     * oram_pre only); SystemConfig::validate rejects it set under any
+     * other scheme.
      */
     bool traditionalPrefetcher = false;
     PrefetcherConfig prefetcher{};

@@ -24,6 +24,9 @@ namespace proram
 struct DramBackendConfig
 {
     DramConfig dram{};
+    /** Run the stream prefetcher. System sets it from the scheme (on
+     *  for dram_pre only); SystemConfig::validate rejects it set under
+     *  any other scheme. */
     bool prefetch = false;
     PrefetcherConfig prefetcher{};
     /** Prefetch buffer (stream buffer) capacity in lines. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <ostream>
@@ -79,8 +80,19 @@ envSession()
 }
 
 // Touch the session at load time so PRORAM_TRACE works even if no
-// instrumented code runs before the first event.
-const bool kEnvSessionInit = (envSession(), true);
+// instrumented code runs before the first event. This is the first
+// read of the environment, before any main can catch what it throws:
+// a user error there (a bad value, an unknown PRORAM_* name) ends the
+// process with its one `fatal: ...` line and status 1, as the tools'
+// mains do.
+const bool kEnvSessionInit = [] {
+    try {
+        envSession();
+    } catch (const SimFatal &e) {
+        std::exit(reportFatal(e));
+    }
+    return true;
+}();
 
 } // namespace
 

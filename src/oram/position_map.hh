@@ -134,6 +134,11 @@ class PositionMap
 
     Leaf leafOf(BlockId id) const { return entry(id).leaf; }
 
+    /** The entries as one array indexed by block id, for bulk loops
+     *  that keep its base in a register (Stash::append and
+     *  Stash::compactFrom); the caller checks ids against size(). */
+    PosEntry *entries() { return entries_.get(); }
+
     /**
      * Start loading @p id's entry into the cache, for writing. An
      * out-of-range id is clamped to the end of the map, so no

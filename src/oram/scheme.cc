@@ -1,5 +1,8 @@
 #include "oram/scheme.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "obs/trace.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
@@ -15,6 +18,12 @@ namespace
 /** levelScratch_ mark of a slot evictGreedy placed in the tree (no
  *  real level is this large). */
 constexpr std::uint32_t kPlaced = 0xFFFFFFFFu;
+
+/** Slot numbers moved per step of the eviction's pool copy: a level's
+ *  group is copied in whole steps, so the copy has one branch per
+ *  step rather than per slot, and the sorted and pool scratch carry
+ *  this much padding. */
+constexpr std::uint32_t kPoolCopyStep = 8;
 
 /** How many places ahead in its id list a placeInitial pass requests
  *  a bucket record: enough misses in flight to cover memory latency
@@ -36,17 +45,16 @@ OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
     // The slot bound matches the stash lanes' initial room plus one
     // path's worth of readPath growth; reserveScratch() covers the
     // (rare) overshoot.
+    const std::size_t depth = tree_.levels() + 1;
     const std::size_t slot_bound =
-        static_cast<std::size_t>(cfg.stashCapacity) * 2 +
-        static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
+        static_cast<std::size_t>(cfg.stashCapacity) * 2 + depth * tree_.z();
     reserveScratch(slot_bound);
-    const std::size_t level_slots = tree_.levels() + 2;
-    pathScratch_.resize(tree_.levels() + 1);
-    drainScratch_.resize(static_cast<std::size_t>(tree_.levels() + 1) *
-                         tree_.z());
-    histScratch_.resize(level_slots, 0);
-    levelStartScratch_.resize(level_slots, 0);
-    levelCursorScratch_.resize(level_slots, 0);
+    recordScratch_.resize(depth);
+    spareRecord_.resize(2 * tree_.z());
+    drainIdScratch_.resize(depth * tree_.z());
+    drainDataScratch_.resize(depth * tree_.z());
+    histScratch_.resize(depth, 0);
+    levelStartScratch_.resize(depth, 0);
 }
 
 OramScheme::~OramScheme() = default;
@@ -54,10 +62,14 @@ OramScheme::~OramScheme() = default;
 void
 OramScheme::reserveScratch(std::size_t slots)
 {
-    if (levelScratch_.size() < slots)
-        levelScratch_.resize(slots);
-    if (sortedScratch_.size() < slots)
-        sortedScratch_.resize(slots);
+    if (levelScratch_.size() < slots + 1) {
+        levelScratch_.resize(slots + 1);
+        rankScratch_.resize(slots + 1);
+    }
+    if (sortedScratch_.size() < slots + kPoolCopyStep) {
+        sortedScratch_.resize(slots + kPoolCopyStep);
+        poolScratch_.resize(tree_.z() + slots + kPoolCopyStep, 0);
+    }
 }
 
 PRORAM_OBLIVIOUS PRORAM_HOT void
@@ -67,27 +79,45 @@ OramScheme::drainPath(Leaf leaf)
     // forming one chain of dependent loads per bucket and per block.
     // 1. Every bucket record of the path is requested up front.
     const std::uint32_t depth = tree_.levels() + 1;
+    const std::uint32_t z = tree_.z();
+    std::uint64_t **records = recordScratch_.data();
     for (std::uint32_t l = 0; l < depth; ++l) {
-        pathScratch_[l] = tree_.nodeOnPath(leaf, Level{l});
-        tree_.prefetchBucket(pathScratch_[l]);
+        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
+        records[l] = tree_.mutableRecord(node);
+        tree_.prefetchBucket(node);
     }
-    // 2. The buckets are emptied into the pair scratch, and each
-    //    block's position-map entry is requested as its id appears.
+    // 2. Every slot is copied to the scratch, root to leaf and in
+    //    slot order, and the count advances past it only if it held a
+    //    block: no branch per slot or per bucket. Each id's
+    //    position-map entry is requested as it appears (a dummy's
+    //    clamps to the map's end). A bucket that held a block is
+    //    emptied as it is copied; an empty one - every bucket of an
+    //    unwritten chunk - is only read, its zero stores going to a
+    //    spare record instead.
+    BlockId *ids = drainIdScratch_.data();
+    std::uint64_t *payloads = drainDataScratch_.data();
+    std::uint64_t *spare = spareRecord_.data();
     std::uint32_t drained = 0;
     for (std::uint32_t l = 0; l < depth; ++l) {
-        tree_.drainBucket(pathScratch_[l],
-                          [this, &drained](BlockId id, std::uint64_t data) {
-                              drainScratch_[drained++] = {id, data};
-                              posMap_.prefetchEntry(id);
-                          });
+        std::uint64_t *rec = records[l];
+        std::uint64_t held = 0;
+        for (std::uint32_t i = 0; i < z; ++i)
+            held |= rec[i];
+        std::uint64_t *emptied = held != 0 ? rec : spare;
+        for (std::uint32_t i = 0; i < z; ++i) {
+            const std::uint64_t stored = rec[i];
+            const BlockId id = BinaryTree::decodeId(stored);
+            ids[drained] = id;
+            payloads[drained] = rec[z + i];
+            posMap_.prefetchEntry(id);
+            drained += stored != 0 ? 1 : 0;
+            emptied[i] = 0;
+            emptied[z + i] = 0;
+        }
     }
-    // 3. The blocks enter the stash in drain order: root to leaf, slot
-    //    order within a bucket - the order the goldens pin.
-    for (std::uint32_t k = 0; k < drained; ++k) {
-        const auto &[id, data] = drainScratch_[k];
-        panic_if(!stash_.insert(id, data), "block ", id,
-                 " duplicated between tree and stash");
-    }
+    // 3. The blocks enter the stash in drain order - the order the
+    //    goldens pin - in one append.
+    stash_.append({ids, drained}, payloads);
 }
 
 PRORAM_OBLIVIOUS PRORAM_HOT void
@@ -95,12 +125,14 @@ OramScheme::evictGreedy(Leaf leaf)
 {
     // Counting-sort eviction: one sweep over the contiguous leaf lane
     // classifies every stash slot's deepest eligible level
-    // (BinaryTree::commonLevel) and histograms the slots per level,
-    // then the slot numbers are stable-scattered into one flat array
-    // grouped deepest level first. Insertion order within a level is
+    // (BinaryTree::commonLevel), counts the slots per level and keeps
+    // each slot's rank within its level; the slot numbers are then
+    // scattered straight to their places in one flat array grouped
+    // deepest level first. Insertion order within a level is
     // preserved: it fixes which blocks win a contended bucket, and
     // the fixed-seed goldens pin those placements.
     const std::uint32_t levels = tree_.levels();
+    const std::uint32_t z = tree_.z();
     const std::uint32_t slots =
         static_cast<std::uint32_t>(stash_.slotCount());
     reserveScratch(slots);
@@ -108,8 +140,12 @@ OramScheme::evictGreedy(Leaf leaf)
     const BlockId *ids = stash_.idLane();
     const Leaf *leaves = stash_.leafLane();
     const std::uint64_t *payloads = stash_.dataLane();
-    for (std::uint32_t l = 0; l <= levels; ++l)
-        histScratch_[l] = 0;
+    std::uint32_t *level = levelScratch_.data();
+    std::uint32_t *rank = rankScratch_.data();
+    std::uint32_t *hist = histScratch_.data();
+    std::uint32_t *start = levelStartScratch_.data();
+    std::uint32_t *sorted = sortedScratch_.data();
+    std::fill_n(hist, levels + 1, 0);
     {
         PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
         for (std::uint32_t s = 0; s < slots; ++s) {
@@ -117,43 +153,71 @@ OramScheme::evictGreedy(Leaf leaf)
                      " has no leaf");
             const std::uint32_t l =
                 tree_.commonLevel(leaves[s], leaf).value();
-            levelScratch_[s] = l;
-            ++histScratch_[l];
+            level[s] = l;
+            rank[s] = hist[l]++;
         }
     }
     std::uint32_t offset = 0;
     for (std::uint32_t l = levels + 1; l-- > 0;) {
-        levelStartScratch_[l] = offset;
-        levelCursorScratch_[l] = offset;
-        offset += histScratch_[l];
+        start[l] = offset;
+        offset += hist[l];
     }
     for (std::uint32_t s = 0; s < slots; ++s)
-        sortedScratch_[levelCursorScratch_[levelScratch_[s]]++] = s;
+        sorted[start[level[s]] + rank[s]] = s;
 
     // Fill buckets greedily from the leaf upward; unplaced deeper
-    // blocks stay pooled and may still land closer to the root. The
-    // pool is a stack of slot numbers kept in the already-read prefix
-    // of the sorted array (it never holds more than has been read).
-    // Ids and payloads come straight from the lanes, which do not
-    // change until the final pass drops the placed slots.
+    // blocks stay pooled and may still land closer to the root. Each
+    // level's group joins the top of the pool stack, and the bucket's
+    // first k = min(Z, pooled) slots take the pool's top k, the last
+    // pushed first - one Z-trip loop of selects per bucket. A bucket
+    // that takes nothing is not touched. Ids and payloads come
+    // straight from the lanes, which do not change until the final
+    // pass drops the placed slots; that pass starts at the lowest
+    // placed slot, since no slot below it moves.
     PRORAM_TRACE_SCOPE_ARG("evict", "scatterFill", "leaf", leaf);
-    std::uint32_t *pool = sortedScratch_.data();
+    std::uint32_t *pool = poolScratch_.data() + z;
     std::uint32_t pooled = 0;
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        const std::uint32_t start = levelStartScratch_[l];
-        const std::uint32_t end = start + histScratch_[l];
-        for (std::uint32_t s = start; s < end; ++s)
-            pool[pooled++] = sortedScratch_[s];
-        tree_.fillBucket(tree_.nodeOnPath(leaf, Level{l}), pooled,
-                         [&](BlockId &id, std::uint64_t &data) {
-                             const std::uint32_t s = pool[--pooled];
-                             id = ids[s];
-                             data = payloads[s];
-                             levelScratch_[s] = kPlaced;
-                         });
+    std::uint32_t lowest = slots;
+    TreeIdx node = tree_.nodeOnPath(leaf, tree_.leafLevel());
+    for (std::uint32_t l = levels + 1; l-- > 0;
+         node = BinaryTree::parentOf(node)) {
+        const std::uint32_t *group = sorted + start[l];
+        const std::uint32_t count = hist[l];
+        for (std::uint32_t j = 0; j < count; j += kPoolCopyStep) {
+            std::uint32_t step[kPoolCopyStep];
+            std::memcpy(step, group + j, sizeof step);
+            std::memcpy(pool + pooled + j, step, sizeof step);
+        }
+        pooled += count;
+        const std::uint32_t k = std::min(z, pooled);
+        if (k == 0)
+            continue;
+
+        // Slot i takes the pool entry i below the top. For i >= k that
+        // entry is one of the zeros below the pool's base - slot 0 of
+        // the lanes, always allocated - whose lanes are read and
+        // masked off, and whose mark goes to the entry past the
+        // slots.
+        std::uint64_t *rec = tree_.writableRecord(node);
+        const std::uint32_t *top = pool + pooled - 1;
+        std::uint64_t occupied = 0;
+        for (std::uint32_t i = 0; i < z; ++i) {
+            const std::uint32_t s = *(top - i);
+            const bool take = i < k;
+            const std::uint64_t keep = 0 - std::uint64_t{take};
+            occupied |= rec[i];
+            rec[i] = BinaryTree::encodeId(ids[s]) & keep;
+            rec[z + i] = payloads[s] & keep;
+            const std::uint32_t placed = take ? s : slots;
+            level[placed] = kPlaced;
+            lowest = std::min(lowest, placed);
+        }
+        panic_if(occupied != 0, "evictGreedy: bucket ", node, " of path ",
+                 leaf, " held a block before the fill");
+        pooled -= k;
     }
-    stash_.eraseSlotsIf(
-        [this](std::uint32_t s) { return levelScratch_[s] == kPlaced; });
+    stash_.compactFrom(
+        lowest, [level](std::uint32_t s) { return level[s] == kPlaced; });
     stash_.sampleOccupancy();
 }
 

@@ -155,10 +155,11 @@ class OramScheme
      * Move every real block on path @p leaf into the stash, bucket by
      * bucket from the root and in slot order within a bucket (Path
      * ORAM's read, and the read half of Ring ORAM's scheduled
-     * eviction). The path's bucket records and the drained blocks'
-     * position-map entries are prefetched before the first insert.
-     * Panics if a block is already stash-resident - a second copy in
-     * the stash or on this path.
+     * eviction). Leaves every bucket of the path empty. The path's
+     * bucket records and the drained blocks' position-map entries are
+     * prefetched before the blocks enter the stash in one bulk
+     * append. Panics if a block is already stash-resident - a second
+     * copy in the stash or on this path.
      */
     void drainPath(Leaf leaf);
 
@@ -171,6 +172,12 @@ class OramScheme
      * from the leaf upward; unplaced deeper blocks stay pooled and may
      * still land closer to the root. One stable pass then drops the
      * placed slots from the stash. Samples stash occupancy.
+     *
+     * Precondition: every bucket on the path is empty - the eviction
+     * runs right after drainPath(@p leaf), or onto an empty tree. A
+     * bucket that takes blocks is written once, its first k slots
+     * taking the pooled blocks and the rest left dummy; one that
+     * still holds a block panics instead.
      */
     void evictGreedy(Leaf leaf);
 
@@ -188,25 +195,36 @@ class OramScheme
     void reserveScratch(std::size_t slots);
 
     // drainPath scratch, sized from the tree geometry at construction.
-    /** The path's L+1 node indices, root first. */
-    std::vector<TreeIdx> pathScratch_;
-    /** Drained (id, payload) pairs; a path holds at most (L+1)*Z. */
-    std::vector<std::pair<BlockId, std::uint64_t>> drainScratch_;
+    /** The path's L+1 bucket records, root first. */
+    std::vector<std::uint64_t *> recordScratch_;
+    /** Takes the drain's zero stores for a bucket that held nothing. */
+    std::vector<std::uint64_t> spareRecord_;
+    /** Drained ids and payloads; a path holds at most (L+1)*Z. */
+    std::vector<BlockId> drainIdScratch_;
+    std::vector<std::uint64_t> drainDataScratch_;
 
     // evictGreedy scratch, pre-sized from tree geometry at
     // construction (see reserveScratch) so even the first paths
     // allocate nothing.
     /** Per-slot eviction level (BinaryTree::commonLevel with the
-     *  path); a placed slot's entry is overwritten with kPlaced. */
+     *  path); a placed slot's entry is overwritten with kPlaced. One
+     *  entry past the slots absorbs the marks of untaken fill
+     *  slots. */
     std::vector<std::uint32_t> levelScratch_;
-    /** Counting sort: per-level population / start offset / cursor. */
+    /** Per-slot rank within its level: the level's count before the
+     *  slot was counted. */
+    std::vector<std::uint32_t> rankScratch_;
+    /** Counting sort: per-level population and start offset. */
     std::vector<std::uint32_t> histScratch_;
     std::vector<std::uint32_t> levelStartScratch_;
-    std::vector<std::uint32_t> levelCursorScratch_;
     /** Stash slot numbers grouped deepest level first, insertion order
-     *  kept within each level (the stable-scatter output). Its
-     *  consumed prefix doubles as the pool of unplaced slots. */
+     *  kept within each level (the scatter output), padded for the
+     *  pool's fixed-width copy. */
     std::vector<std::uint32_t> sortedScratch_;
+    /** The pool of unplaced slot numbers, a stack. Its first Z entries
+     *  sit below the stack's base and stay 0: the fill reads them for
+     *  the bucket slots it leaves dummy. */
+    std::vector<std::uint32_t> poolScratch_;
 };
 
 /** Build the scheme selected by @p cfg (after resolvedScheme()). */

@@ -42,7 +42,7 @@ Stash::erase(BlockId id)
     const std::uint32_t slot = posMap_.entry(id).stashSlot;
     if (slot == kNoStashSlot)
         return false;
-    eraseSlotsIf([slot](std::uint32_t s) { return s == slot; });
+    compactFrom(slot, [slot](std::uint32_t s) { return s == slot; });
     return true;
 }
 

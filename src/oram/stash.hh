@@ -10,11 +10,13 @@
  * resident blocks - there are no dead slots. The id -> slot index is
  * not a hash table: it is PosEntry::stashSlot in the position map the
  * stash is built over, which every access loads anyway for the
- * block's leaf. Removal is one stable pass that keeps the survivors'
- * relative order (iteration order stays insertion order - the
- * determinism the eviction placements and replay tests rely on) and
- * rewrites stashSlot for the blocks that moved; eviction runs it once
- * per path (eraseSlotsIf). The leaf lane is what the eviction scan
+ * block's leaf. A path read enters the stash as one bulk append.
+ * Removal is one stable pass that keeps the survivors' relative order
+ * (iteration order stays insertion order - the determinism the
+ * eviction placements and replay tests rely on) and rewrites
+ * stashSlot for the blocks that moved; it starts at the first removed
+ * slot, since the slots below it do not move (compactFrom; eviction
+ * runs it once per path). The leaf lane is what the eviction scan
  * streams: OramScheme::evictGreedy reads one contiguous Leaf array
  * with no per-entry struct stride. Cached leaves mirror the
  * position map (PositionMap::setLeaf writes through the slot), so
@@ -24,7 +26,9 @@
 #ifndef PRORAM_ORAM_STASH_HH
 #define PRORAM_ORAM_STASH_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "oram/position_map.hh"
@@ -82,6 +86,43 @@ class Stash
         return true;
     }
 
+    /**
+     * Add the blocks ids[k] with payloads data[k], in order, each under
+     * its current position-map leaf - the inserts of a whole path in
+     * one pass, with the lanes, the size and the position map's base
+     * in locals. Panics if an id is outside the position map, and if
+     * a block is already present (including twice in @p ids): a
+     * second copy in the tree and the stash.
+     */
+    PRORAM_OBLIVIOUS PRORAM_HOT void append(std::span<const BlockId> ids,
+                                            const std::uint64_t *data)
+    {
+        const auto n = static_cast<std::uint32_t>(ids.size());
+        std::uint64_t top = 0;
+        for (std::uint32_t k = 0; k < n; ++k)
+            top = std::max(top, ids[k].value());
+        panic_if(n != 0 && top >= posMap_.size(), "pos-map index ", top,
+                 " out of range");
+        while (size_ + n > ids_.size())
+            grow();
+        PosEntry *const map = posMap_.entries();
+        BlockId *const lane_ids = ids_.data();
+        Leaf *const lane_leaves = leaves_.data();
+        std::uint64_t *const lane_data = data_.data();
+        std::uint32_t size = size_;
+        for (std::uint32_t k = 0; k < n; ++k) {
+            PosEntry &e = map[ids[k].value()];
+            panic_if(e.stashSlot != kNoStashSlot, "block ", ids[k],
+                     " duplicated between tree and stash");
+            e.stashSlot = size;
+            lane_ids[size] = ids[k];
+            lane_leaves[size] = e.leaf;
+            lane_data[size] = data[k];
+            ++size;
+        }
+        size_ = size;
+    }
+
     bool contains(BlockId id) const
     {
         return posMap_.entry(id).stashSlot != kNoStashSlot;
@@ -107,36 +148,38 @@ class Stash
     bool erase(BlockId id);
 
     /**
-     * Remove every slot s with drop(s) true in one stable pass:
-     * survivors keep their relative order, the blocks that move get
-     * their PosEntry::stashSlot rewritten and the dropped blocks get
-     * kNoStashSlot. Panics if a slot it touches and that block's
-     * stashSlot disagree (the index is corrupt). drop is evaluated
-     * once per slot, in slot order, before any lane changes at that
-     * slot.
+     * Remove every slot s >= @p first with drop(s) true in one stable
+     * pass: survivors keep their relative order, the blocks from
+     * @p first on get their PosEntry::stashSlot rewritten and the
+     * removed blocks get kNoStashSlot. The slots below @p first must
+     * all survive; they are not visited. Panics if a visited slot and
+     * its block's stashSlot disagree (the index is corrupt). drop is
+     * evaluated once per slot, in slot order, before any lane changes
+     * at that slot. The pass has no branch per slot: every visited
+     * slot is copied down, and a removed one is overwritten by the
+     * next survivor or left past the new end.
      */
     template <typename Drop>
-    PRORAM_OBLIVIOUS PRORAM_HOT void eraseSlotsIf(Drop &&drop)
+    PRORAM_OBLIVIOUS PRORAM_HOT void compactFrom(std::uint32_t first,
+                                                 Drop &&drop)
     {
-        std::uint32_t out = 0;
-        for (std::uint32_t in = 0; in < size_; ++in) {
-            const bool dropped = drop(in);
-            if (!dropped && out == in) {
-                ++out;
-                continue;
-            }
-            PosEntry &e = posMap_.entry(ids_[in]);
+        // Every resident id passed the range check on its way in.
+        PosEntry *const map = posMap_.entries();
+        BlockId *const ids = ids_.data();
+        Leaf *const leaves = leaves_.data();
+        std::uint64_t *const data = data_.data();
+        const std::uint32_t size = size_;
+        std::uint32_t out = first;
+        for (std::uint32_t in = first; in < size; ++in) {
+            PosEntry &e = map[ids[in].value()];
             panic_if(e.stashSlot != in, "stash slot ", in, " holds block ",
-                     ids_[in], " but its index names slot ", e.stashSlot);
-            if (dropped) {
-                e.stashSlot = kNoStashSlot;
-                continue;
-            }
-            ids_[out] = ids_[in];
-            leaves_[out] = leaves_[in];
-            data_[out] = data_[in];
-            e.stashSlot = out;
-            ++out;
+                     ids[in], " but its index names slot ", e.stashSlot);
+            const bool dropped = drop(in);
+            e.stashSlot = dropped ? kNoStashSlot : out;
+            ids[out] = ids[in];
+            leaves[out] = leaves[in];
+            data[out] = data[in];
+            out += dropped ? 0 : 1;
         }
         size_ = out;
     }

@@ -36,12 +36,12 @@ BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
 }
 
 /**
- * Reached from fillBucket / tryPlace on a write-back (or from a raw
- * test setter). The allocation is deliberate hot-path work: its
- * trigger is the public heap node index the server already observes
- * (DESIGN.md Sec. 12), it happens at most once per chunk, and the
- * alternative - allocating every chunk up front - is exactly the
- * eager storage.
+ * Reached from writableRecord on a write-back - the eviction's fill or
+ * tryPlace - or from a raw test setter. The allocation is deliberate
+ * hot-path work: its trigger is the public heap node index the server
+ * already observes (DESIGN.md Sec. 12), it happens at most once per
+ * chunk, and the alternative - allocating every chunk up front - is
+ * exactly the eager storage.
  */
 PRORAM_HOT void
 BinaryTree::materialize(std::uint64_t chunk)

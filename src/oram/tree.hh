@@ -24,7 +24,7 @@
  * (OramConfig::lazyInit) points every chunk at one shared zero chunk
  * until the chunk's first write allocates it, which is what makes
  * paper-scale (2^26-block) trees affordable: reads never allocate,
- * only writes (tryPlace, fillBucket and the raw test setters) do.
+ * only writes (tryPlace, writableRecord and the raw test setters) do.
  */
 
 #ifndef PRORAM_ORAM_TREE_HH
@@ -96,9 +96,10 @@ class BucketRef
  *
  * Read accessors (record/slotId/slotData/occupancy/freeSlots) never
  * allocate: an unwritten chunk of an on-demand tree answers from the
- * shared zero chunk. Writes (tryPlace, fillBucket, the raw setters)
- * allocate the owning chunk on first touch; clearSlot and drainBucket
- * only ever write a slot that holds a block, so they never allocate.
+ * shared zero chunk. Writes (tryPlace, writableRecord, the raw
+ * setters) allocate the owning chunk on first touch; clearSlot and
+ * writes through mutableRecord only ever touch a bucket that holds a
+ * block, so they never allocate.
  */
 class BinaryTree
 {
@@ -141,6 +142,12 @@ class BinaryTree
         return TreeIdx{((1ULL << level.value()) - 1) +
                        (static_cast<std::uint64_t>(leaf.value()) >>
                         (levels_ - level.value()))};
+    }
+
+    /** Heap index of @p node's parent (meaningless for the root). */
+    static TreeIdx parentOf(TreeIdx node)
+    {
+        return TreeIdx{(node.value() - 1) >> 1};
     }
 
     /** View of bucket @p node. */
@@ -198,15 +205,49 @@ class BinaryTree
         __builtin_prefetch(rec + 2 * z_ - 1, 1);
     }
 
+    /**
+     * Bucket @p node's record for writes that only touch a bucket
+     * holding a block - emptying it, as OramScheme::drainPath does.
+     * Never allocates: an unwritten chunk's record is the shared zero
+     * chunk's, which must only be read.
+     */
+    std::uint64_t *mutableRecord(TreeIdx node)
+    {
+        return const_cast<std::uint64_t *>(record(node));
+    }
+
+    /** Bucket @p node's record for any write: allocates the owning
+     *  chunk if it is still unwritten. */
+    std::uint64_t *writableRecord(TreeIdx node)
+    {
+        const std::uint64_t chunk = node.value() >> kChunkShift;
+        if (!materialized(chunk))
+            materialize(chunk);
+        return mutableRecord(node);
+    }
+
+    /** The stored form of @p id in a record's id words (id + 1, so a
+     *  dummy slot is 0). */
+    static std::uint64_t encodeId(BlockId id) { return id.value() + 1; }
+    /** The inverse of encodeId; a stored 0 decodes to kInvalidBlock. */
+    static BlockId decodeId(std::uint64_t stored)
+    {
+        return BlockId{stored - 1};
+    }
+
     /** Place a block in the first dummy slot of @p node; false if the
      *  bucket is full. Allocates the owning chunk on first write. */
     bool tryPlace(TreeIdx node, BlockId id, std::uint64_t data)
     {
-        return fillBucket(node, 1, [&](BlockId &slot_id,
-                                       std::uint64_t &slot_data) {
-                   slot_id = id;
-                   slot_data = data;
-               }) == 1;
+        std::uint64_t *rec = writableRecord(node);
+        for (std::uint32_t i = 0; i < z_; ++i) {
+            if (rec[i] != 0) // real block
+                continue;
+            rec[i] = encodeId(id);
+            rec[z_ + i] = data;
+            return true;
+        }
+        return false;
     }
 
     /** Evict slot @p i of @p node back to dummy (a no-op on a dummy
@@ -220,51 +261,6 @@ class BinaryTree
         rec[z_ + i] = 0;
     }
 
-    /**
-     * Hand every real block of @p node to fn(id, data) in slot order,
-     * zeroing each slot it hands over. An empty bucket - every bucket
-     * of an unwritten chunk - is only read.
-     */
-    template <typename Fn>
-    PRORAM_OBLIVIOUS PRORAM_HOT void drainBucket(TreeIdx node, Fn &&fn)
-    {
-        std::uint64_t *rec = mutableRecord(node);
-        for (std::uint32_t i = 0; i < z_; ++i) {
-            if (rec[i] == 0) // dummy slot
-                continue;
-            fn(decodeId(rec[i]), rec[z_ + i]);
-            rec[i] = 0;
-            rec[z_ + i] = 0;
-        }
-    }
-
-    /**
-     * Fill @p node's dummy slots in slot order with up to @p count
-     * blocks, each produced by next(id, data) - the placements
-     * repeated tryPlace calls would make. @return how many were
-     * placed (0 when the bucket is full or @p count is 0). With
-     * @p count > 0 an unwritten chunk is allocated first: its bucket
-     * is empty, so a placement follows.
-     */
-    template <typename Next>
-    PRORAM_OBLIVIOUS PRORAM_HOT std::uint32_t
-    fillBucket(TreeIdx node, std::uint32_t count, Next &&next)
-    {
-        if (count == 0)
-            return 0;
-        std::uint64_t *rec = writableRecord(node);
-        std::uint32_t placed = 0;
-        for (std::uint32_t i = 0; i < z_ && placed < count; ++i) {
-            if (rec[i] != 0) // real block
-                continue;
-            BlockId id = kInvalidBlock;
-            next(id, rec[z_ + i]);
-            rec[i] = encodeId(id);
-            ++placed;
-        }
-        return placed;
-    }
-
     /** @} */
 
     /**
@@ -276,10 +272,12 @@ class BinaryTree
     {
         // Paths diverge at the highest differing leaf bit: the shared
         // depth is levels_ minus the XOR's bit width (equal labels
-        // share the whole path).
-        const std::uint32_t diff = a ^ b;
-        return Level{levels_ -
-                     static_cast<std::uint32_t>(std::bit_width(diff))};
+        // share the whole path). The width is taken of 2 * diff + 1,
+        // which is never zero, so it needs no zero test - and no
+        // branch - where the target has no lzcnt.
+        const std::uint64_t diff = a ^ b;
+        const auto width = std::bit_width((diff << 1) | 1) - 1;
+        return Level{levels_ - static_cast<std::uint32_t>(width)};
     }
 
     /** Total real blocks stored in the tree, by scanning the
@@ -314,31 +312,7 @@ class BinaryTree
   private:
     friend class BucketRef;
 
-    static std::uint64_t encodeId(BlockId id) { return id.value() + 1; }
-    /** The inverse of encodeId; a stored 0 decodes to kInvalidBlock. */
-    static BlockId decodeId(std::uint64_t stored)
-    {
-        return BlockId{stored - 1};
-    }
-
     std::uint64_t chunkWords() const { return kChunkBuckets * 2 * z_; }
-
-    /** Record of @p node for writes that only ever touch a real
-     *  block's slots (never one of the shared zero chunk). */
-    std::uint64_t *mutableRecord(TreeIdx node)
-    {
-        return const_cast<std::uint64_t *>(record(node));
-    }
-
-    /** Record of @p node for any write: allocates the owning chunk
-     *  if it is still the shared zero chunk. */
-    std::uint64_t *writableRecord(TreeIdx node)
-    {
-        const std::uint64_t chunk = node.value() >> kChunkShift;
-        if (!materialized(chunk))
-            materialize(chunk);
-        return mutableRecord(node);
-    }
 
     /** First write into an unwritten chunk of an on-demand tree. */
     void materialize(std::uint64_t chunk);

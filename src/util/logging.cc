@@ -31,6 +31,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
     throw SimFatal(locate(file, line, "fatal", msg));
 }
 
+int
+reportFatal(const SimFatal &e)
+{
+    std::cerr << e.what() << "\n";
+    return 1;
+}
+
 void
 warnImpl(const char *file, int line, const std::string &msg)
 {

@@ -56,6 +56,12 @@ class SimFatal : public std::exception
     std::string msg_;
 };
 
+/**
+ * Print a user error's one `fatal: ...` line to stderr and return the
+ * exit status a command-line tool ends with on it (1).
+ */
+int reportFatal(const SimFatal &e);
+
 namespace detail
 {
 

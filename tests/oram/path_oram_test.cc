@@ -286,6 +286,28 @@ TEST(PathOram, WritePathPlacesDeepestFirst)
               t.z());
 }
 
+TEST(PathOram, WritePathPanicsOnABucketThatStillHoldsABlock)
+{
+    // The eviction writes each bucket that takes blocks once, so it
+    // needs the path empty, as the read of the same path leaves it: a
+    // block left in such a bucket is not silently kept or overwritten.
+    Fixture f;
+    f.init();
+    BinaryTree &t = f.oram.tree();
+    const Leaf leaf = leafWithRealBlock(t);
+    ASSERT_NE(leaf, kInvalidLeaf);
+    f.oram.readPath(leaf);
+    ASSERT_EQ(realSlotsOnPath(t, leaf).size(), 0u);
+    // A resident block mapped to the path's own leaf is pooled at the
+    // leaf bucket, so that bucket takes a block.
+    ASSERT_GT(f.oram.stash().size(), 0u);
+    f.posMap.setLeaf(f.oram.stash().idLane()[0], leaf);
+    BucketRef b = t.bucket(t.nodeOnPath(leaf, t.leafLevel()));
+    b.setRawId(1, 200_id);
+    b.setRawData(1, 7);
+    EXPECT_THROW(f.oram.writePath(leaf), SimPanic);
+}
+
 TEST(PathOram, ReadPathStashesRootToLeafInSlotOrder)
 {
     // Known blocks at known levels and slots of one path: two in one

@@ -57,6 +57,66 @@ TEST(Stash, DuplicateInsertRejected)
     EXPECT_EQ(s.size(), 1u);
 }
 
+TEST(Stash, AppendMatchesInsertsAndGrowsTheLanes)
+{
+    // A bulk append is the same as inserting its blocks one by one, in
+    // order - including when it has to grow the lanes (capacity 4: 16
+    // slots of room) partway through.
+    StashFixture bulk(4);
+    StashFixture single(4);
+    for (BlockId b : {90_id, 3_id}) {
+        bulk.s.insert(b, b.value());
+        single.s.insert(b, b.value());
+    }
+    std::vector<BlockId> ids;
+    std::vector<std::uint64_t> data;
+    for (std::uint64_t b = 20; b < 60; ++b) {
+        ids.push_back(BlockId{b});
+        data.push_back(b * 7);
+    }
+    bulk.s.append(ids, data.data());
+    for (std::size_t k = 0; k < ids.size(); ++k)
+        ASSERT_TRUE(single.s.insert(ids[k], data[k]));
+    ASSERT_EQ(bulk.s.slotCount(), single.s.slotCount());
+    for (std::size_t k = 0; k < bulk.s.slotCount(); ++k) {
+        EXPECT_EQ(bulk.s.idLane()[k], single.s.idLane()[k]);
+        EXPECT_EQ(bulk.s.leafLane()[k], single.s.leafLane()[k]);
+        EXPECT_EQ(bulk.s.dataLane()[k], single.s.dataLane()[k]);
+    }
+    for (std::uint64_t b = 0; b < 100; ++b) {
+        EXPECT_EQ(bulk.pm.entry(BlockId{b}).stashSlot,
+                  single.pm.entry(BlockId{b}).stashSlot)
+            << "block " << b;
+    }
+    // The leaf cache follows the grown lane.
+    bulk.pm.setLeaf(40_id, 7_leaf);
+    EXPECT_EQ(bulk.s.leafOf(40_id), 7_leaf);
+}
+
+TEST(Stash, AppendPanicsOnADuplicate)
+{
+    StashFixture f(4);
+    f.s.insert(5_id, 0);
+    const BlockId resident[] = {6_id, 5_id};
+    const std::uint64_t data[] = {0, 0};
+    EXPECT_THROW(f.s.append(resident, data), SimPanic);
+    StashFixture g(4);
+    const BlockId twice[] = {8_id, 9_id, 8_id};
+    const std::uint64_t more[] = {0, 0, 0};
+    EXPECT_THROW(g.s.append(twice, more), SimPanic);
+}
+
+TEST(Stash, AppendPanicsOnAnIdOutsideThePositionMap)
+{
+    StashFixture f(4);
+    const BlockId ids[] = {1_id, BlockId{100}};
+    const std::uint64_t data[] = {0, 0};
+    EXPECT_THROW(f.s.append(ids, data), SimPanic);
+    const BlockId invalid[] = {kInvalidBlock};
+    EXPECT_THROW(f.s.append(invalid, data), SimPanic);
+    EXPECT_EQ(f.s.size(), 0u);
+}
+
 TEST(Stash, CapacityIsSoft)
 {
     StashFixture f(2);
@@ -117,7 +177,7 @@ TEST(Stash, OrderAndLookupsSurviveCompaction)
     Stash &s = f.s;
     for (std::uint64_t b = 0; b < 64; ++b)
         s.insert(BlockId{b}, b * 2);
-    s.eraseSlotsIf([](std::uint32_t slot) { return slot % 3 != 0; });
+    s.compactFrom(1, [](std::uint32_t slot) { return slot % 3 != 0; });
     std::vector<BlockId> expect;
     for (std::uint64_t b = 0; b < 64; b += 3)
         expect.push_back(BlockId{b});

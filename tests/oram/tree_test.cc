@@ -249,15 +249,13 @@ TEST(SparseTree, ImplicitChunksReadAllDummyWithoutMaterializing)
             EXPECT_EQ(t.slotData(n, i), 0u);
         }
     }
-    // Reads, prefetches, drains and clears of empty slots never
-    // allocate.
+    // Reads, prefetches, the drain's record access and clears of empty
+    // slots never allocate.
     t.clearSlot(900_node, 1);
     t.prefetchBucket(1500_node);
-    t.drainBucket(1600_node, [](BlockId, std::uint64_t) {
-        ADD_FAILURE() << "an empty bucket drained a block";
-    });
-    const auto none = [](BlockId &, std::uint64_t &) {};
-    EXPECT_EQ(t.fillBucket(1700_node, 0, none), 0u);
+    const std::uint64_t *rec = t.mutableRecord(1600_node);
+    for (std::uint32_t w = 0; w < 2 * t.z(); ++w)
+        EXPECT_EQ(rec[w], 0u) << "word " << w;
     EXPECT_EQ(t.countRealBlocks(), 0u);
     EXPECT_EQ(t.chunksMaterialized(), 0u);
     for (std::uint64_t c = 0; c < t.numChunks(); ++c)
@@ -320,7 +318,8 @@ TEST(SparseTree, BackendsAreFunctionallyIdentical)
             t.tryPlace(TreeIdx{n}, BlockId{n}, n * 3);
         t.tryPlace(TreeIdx{37}, 5_id, 50);
         t.clearSlot(TreeIdx{37}, 0);
-        t.drainBucket(TreeIdx{74}, [](BlockId, std::uint64_t) {});
+        for (std::uint32_t i = 0; i < t.z(); ++i)
+            t.clearSlot(TreeIdx{74}, i);
     }
     const BinaryTree &eager = trees[0];
     const BinaryTree &lazy = trees[1];

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "trace/synthetic.hh"
 #include "util/logging.hh"
 
@@ -83,6 +85,40 @@ TEST(SystemConfig, ValidateCatchesMismatchedLines)
     SystemConfig cfg = defaultSystemConfig();
     cfg.oram.blockBytes = 64;
     EXPECT_THROW(cfg.validate(), SimFatal);
+}
+
+TEST(SystemConfig, PrefetcherFieldsMustAgreeWithTheScheme)
+{
+    // System sets both prefetcher fields from the scheme, so one set
+    // against it would be silently dropped: it is fatal, and the
+    // message names the field and the scheme.
+    const auto fatalMessage = [](const SystemConfig &cfg) {
+        try {
+            System sys(cfg);
+        } catch (const SimFatal &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    SystemConfig ctl = smallCfg(MemScheme::OramBaseline);
+    ctl.controller.traditionalPrefetcher = true;
+    const std::string ctl_msg = fatalMessage(ctl);
+    EXPECT_NE(ctl_msg.find("controller.traditionalPrefetcher"),
+              std::string::npos)
+        << ctl_msg;
+    EXPECT_NE(ctl_msg.find("scheme oram "), std::string::npos) << ctl_msg;
+
+    SystemConfig dram = smallCfg(MemScheme::Dram);
+    dram.dram.prefetch = true;
+    const std::string dram_msg = fatalMessage(dram);
+    EXPECT_NE(dram_msg.find("dram.prefetch"), std::string::npos) << dram_msg;
+    EXPECT_NE(dram_msg.find("scheme dram "), std::string::npos) << dram_msg;
+
+    // Set where the scheme runs that prefetcher anyway, they agree.
+    ctl.scheme = MemScheme::OramPrefetch;
+    EXPECT_NO_THROW(System{ctl});
+    dram.scheme = MemScheme::DramPrefetch;
+    EXPECT_NO_THROW(System{dram});
 }
 
 TEST(System, DramSchemeHasNoController)
