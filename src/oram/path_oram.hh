@@ -34,7 +34,10 @@ class PathOram final : public OramScheme
     /**
      * Evict as many stash blocks as possible onto path @p leaf,
      * deepest buckets first (step 5). Blocks land only in buckets that
-     * lie on both @p leaf and their own mapped path.
+     * lie on both @p leaf and their own mapped path. The path must be
+     * the one readPath just emptied, with no other write-back in
+     * between, or a path of an empty tree; a bucket that still holds a
+     * block panics.
      */
     void writePath(Leaf leaf) override;
 

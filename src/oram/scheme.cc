@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/trace.hh"
 #include "oram/path_oram.hh"
@@ -49,8 +50,7 @@ OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
     const std::size_t slot_bound =
         static_cast<std::size_t>(cfg.stashCapacity) * 2 + depth * tree_.z();
     reserveScratch(slot_bound);
-    recordScratch_.resize(depth);
-    spareRecord_.resize(2 * tree_.z());
+    nodeScratch_.resize(depth);
     drainIdScratch_.resize(depth * tree_.z());
     drainDataScratch_.resize(depth * tree_.z());
     histScratch_.resize(depth, 0);
@@ -79,41 +79,23 @@ OramScheme::drainPath(Leaf leaf)
     // forming one chain of dependent loads per bucket and per block.
     // 1. Every bucket record of the path is requested up front.
     const std::uint32_t depth = tree_.levels() + 1;
-    const std::uint32_t z = tree_.z();
-    std::uint64_t **records = recordScratch_.data();
+    TreeIdx *nodes = nodeScratch_.data();
     for (std::uint32_t l = 0; l < depth; ++l) {
-        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
-        records[l] = tree_.mutableRecord(node);
-        tree_.prefetchBucket(node);
+        nodes[l] = tree_.nodeOnPath(leaf, Level{l});
+        tree_.prefetchBucket(nodes[l]);
     }
-    // 2. Every slot is copied to the scratch, root to leaf and in
-    //    slot order, and the count advances past it only if it held a
-    //    block: no branch per slot or per bucket. Each id's
-    //    position-map entry is requested as it appears (a dummy's
-    //    clamps to the map's end). A bucket that held a block is
-    //    emptied as it is copied; an empty one - every bucket of an
-    //    unwritten chunk - is only read, its zero stores going to a
-    //    spare record instead.
+    // 2. The buckets are emptied into the scratch root to leaf, each
+    //    in slot order, with no branch per slot or per bucket
+    //    (BinaryTree::emptyBucketInto). Each slot's position-map entry
+    //    is requested as its id is copied (a dummy's clamps to the
+    //    map's end).
     BlockId *ids = drainIdScratch_.data();
     std::uint64_t *payloads = drainDataScratch_.data();
-    std::uint64_t *spare = spareRecord_.data();
     std::uint32_t drained = 0;
     for (std::uint32_t l = 0; l < depth; ++l) {
-        std::uint64_t *rec = records[l];
-        std::uint64_t held = 0;
-        for (std::uint32_t i = 0; i < z; ++i)
-            held |= rec[i];
-        std::uint64_t *emptied = held != 0 ? rec : spare;
-        for (std::uint32_t i = 0; i < z; ++i) {
-            const std::uint64_t stored = rec[i];
-            const BlockId id = BinaryTree::decodeId(stored);
-            ids[drained] = id;
-            payloads[drained] = rec[z + i];
-            posMap_.prefetchEntry(id);
-            drained += stored != 0 ? 1 : 0;
-            emptied[i] = 0;
-            emptied[z + i] = 0;
-        }
+        drained += tree_.emptyBucketInto(
+            nodes[l], ids + drained, payloads + drained,
+            [this](BlockId id) { posMap_.prefetchEntry(id); });
     }
     // 3. The blocks enter the stash in drain order - the order the
     //    goldens pin - in one append.
@@ -198,22 +180,17 @@ OramScheme::evictGreedy(Leaf leaf)
         // the lanes, always allocated - whose lanes are read and
         // masked off, and whose mark goes to the entry past the
         // slots.
-        std::uint64_t *rec = tree_.writableRecord(node);
         const std::uint32_t *top = pool + pooled - 1;
-        std::uint64_t occupied = 0;
-        for (std::uint32_t i = 0; i < z; ++i) {
-            const std::uint32_t s = *(top - i);
-            const bool take = i < k;
-            const std::uint64_t keep = 0 - std::uint64_t{take};
-            occupied |= rec[i];
-            rec[i] = BinaryTree::encodeId(ids[s]) & keep;
-            rec[z + i] = payloads[s] & keep;
-            const std::uint32_t placed = take ? s : slots;
-            level[placed] = kPlaced;
-            lowest = std::min(lowest, placed);
-        }
-        panic_if(occupied != 0, "evictGreedy: bucket ", node, " of path ",
-                 leaf, " held a block before the fill");
+        const bool held =
+            tree_.fillEmptyBucket(node, k, [&](std::uint32_t i) {
+                const std::uint32_t s = *(top - i);
+                const std::uint32_t placed = i < k ? s : slots;
+                level[placed] = kPlaced;
+                lowest = std::min(lowest, placed);
+                return std::pair{ids[s], payloads[s]};
+            });
+        panic_if(held, "evictGreedy: bucket ", node, " of path ", leaf,
+                 " held a block before the fill");
         pooled -= k;
     }
     stash_.compactFrom(

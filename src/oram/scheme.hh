@@ -63,6 +63,10 @@ struct SchemeCounters
  *  - writePath(leaf) restores the scheme's tree invariant ("a block
  *    is on its mapped path or in the stash"); it need not write the
  *    demanded path (Ring ORAM evicts on its own schedule).
+ *  - Path ORAM's writePath(leaf) must follow readPath(leaf), with no
+ *    other path written back in between, or run on an empty tree: it
+ *    fills the path's buckets as empty and panics on one that still
+ *    holds a block (evictGreedy).
  *  - dummyAccess() makes eviction progress (stash occupancy cannot
  *    increase) and returns the public leaf it touched.
  */
@@ -84,8 +88,9 @@ class OramScheme
     virtual void readPath(Leaf leaf) = 0;
 
     /**
-     * Write-back half of one access. Path ORAM evicts onto @p leaf;
-     * Ring ORAM counts the access and runs its scheduled
+     * Write-back half of one access. Path ORAM evicts onto @p leaf,
+     * which must be the path readPath just emptied (or a path of an
+     * empty tree); Ring ORAM counts the access and runs its scheduled
      * reverse-lexicographic eviction every A-th call (@p leaf names
      * the just-read path for symmetry but the eviction path is the
      * scheme's own choice).
@@ -195,10 +200,8 @@ class OramScheme
     void reserveScratch(std::size_t slots);
 
     // drainPath scratch, sized from the tree geometry at construction.
-    /** The path's L+1 bucket records, root first. */
-    std::vector<std::uint64_t *> recordScratch_;
-    /** Takes the drain's zero stores for a bucket that held nothing. */
-    std::vector<std::uint64_t> spareRecord_;
+    /** The path's L+1 buckets, root first. */
+    std::vector<TreeIdx> nodeScratch_;
     /** Drained ids and payloads; a path holds at most (L+1)*Z. */
     std::vector<BlockId> drainIdScratch_;
     std::vector<std::uint64_t> drainDataScratch_;

@@ -8,7 +8,8 @@ namespace proram
 
 BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
                        Storage storage)
-    : levels_(levels), z_(z)
+    : levels_(levels), z_(z),
+      spare_(std::make_unique<std::uint64_t[]>(2 * std::uint64_t{z}))
 {
     fatal_if(levels > 40, "tree too deep to simulate functionally");
     numBuckets_ = (2ULL << levels) - 1;
@@ -36,7 +37,7 @@ BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
 }
 
 /**
- * Reached from writableRecord on a write-back - the eviction's fill or
+ * Reached from writableRecord on a write-back - fillEmptyBucket or
  * tryPlace - or from a raw test setter. The allocation is deliberate
  * hot-path work: its trigger is the public heap node index the server
  * already observes (DESIGN.md Sec. 12), it happens at most once per

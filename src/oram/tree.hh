@@ -24,7 +24,7 @@
  * (OramConfig::lazyInit) points every chunk at one shared zero chunk
  * until the chunk's first write allocates it, which is what makes
  * paper-scale (2^26-block) trees affordable: reads never allocate,
- * only writes (tryPlace, writableRecord and the raw test setters) do.
+ * only writes (tryPlace, fillEmptyBucket and the raw test setters) do.
  */
 
 #ifndef PRORAM_ORAM_TREE_HH
@@ -96,10 +96,10 @@ class BucketRef
  *
  * Read accessors (record/slotId/slotData/occupancy/freeSlots) never
  * allocate: an unwritten chunk of an on-demand tree answers from the
- * shared zero chunk. Writes (tryPlace, writableRecord, the raw
+ * shared zero chunk. Writes (tryPlace, fillEmptyBucket, the raw
  * setters) allocate the owning chunk on first touch; clearSlot and
- * writes through mutableRecord only ever touch a bucket that holds a
- * block, so they never allocate.
+ * emptyBucketInto only ever write a bucket that holds a block, so they
+ * never allocate.
  */
 class BinaryTree
 {
@@ -206,33 +206,64 @@ class BinaryTree
     }
 
     /**
-     * Bucket @p node's record for writes that only touch a bucket
-     * holding a block - emptying it, as OramScheme::drainPath does.
-     * Never allocates: an unwritten chunk's record is the shared zero
-     * chunk's, which must only be read.
+     * Move bucket @p node's real blocks out, in slot order, and leave
+     * the bucket empty: ids[0, n) and payloads[0, n) take the n real
+     * blocks, and @p seen is called with every slot's id (kInvalidBlock
+     * for a dummy slot). @return n. No branch per slot: each slot is
+     * copied to place n, which it keeps only if it held a block, so
+     * both arrays need room for Z entries. Only a bucket that held a
+     * block is written - the zero stores of an empty one, such as every
+     * bucket of an unwritten chunk, go to a spare record - so this
+     * never allocates.
      */
-    std::uint64_t *mutableRecord(TreeIdx node)
+    template <typename Seen>
+    PRORAM_OBLIVIOUS PRORAM_HOT __attribute__((always_inline)) std::uint32_t
+    emptyBucketInto(TreeIdx node, BlockId *ids, std::uint64_t *payloads,
+                    Seen &&seen)
     {
-        return const_cast<std::uint64_t *>(record(node));
+        std::uint64_t *rec = mutableRecord(node);
+        std::uint64_t held = 0;
+        for (std::uint32_t i = 0; i < z_; ++i)
+            held |= rec[i];
+        std::uint64_t *emptied = held != 0 ? rec : spare_.get();
+        std::uint32_t n = 0;
+        for (std::uint32_t i = 0; i < z_; ++i) {
+            const std::uint64_t stored = rec[i];
+            const BlockId id = decodeId(stored);
+            ids[n] = id;
+            payloads[n] = rec[z_ + i];
+            seen(id);
+            n += stored != 0 ? 1 : 0;
+            emptied[i] = 0;
+            emptied[z_ + i] = 0;
+        }
+        return n;
     }
 
-    /** Bucket @p node's record for any write: allocates the owning
-     *  chunk if it is still unwritten. */
-    std::uint64_t *writableRecord(TreeIdx node)
+    /**
+     * Fill bucket @p node, which should be empty, with @p k <= Z
+     * blocks: slot i takes the (id, payload) pair take(i) returns if
+     * i < k and is left dummy otherwise. take is called for every
+     * slot, i = 0 .. Z-1 in order, and its result is masked off for
+     * i >= k, so the loop has no branch per slot. Allocates the owning
+     * chunk if it is still unwritten, so call it only for a bucket
+     * that takes a block. @return whether the bucket held a block
+     * before the fill (the fill overwrote it).
+     */
+    template <typename Take>
+    PRORAM_OBLIVIOUS PRORAM_HOT __attribute__((always_inline)) bool
+    fillEmptyBucket(TreeIdx node, std::uint32_t k, Take &&take)
     {
-        const std::uint64_t chunk = node.value() >> kChunkShift;
-        if (!materialized(chunk))
-            materialize(chunk);
-        return mutableRecord(node);
-    }
-
-    /** The stored form of @p id in a record's id words (id + 1, so a
-     *  dummy slot is 0). */
-    static std::uint64_t encodeId(BlockId id) { return id.value() + 1; }
-    /** The inverse of encodeId; a stored 0 decodes to kInvalidBlock. */
-    static BlockId decodeId(std::uint64_t stored)
-    {
-        return BlockId{stored - 1};
+        std::uint64_t *rec = writableRecord(node);
+        std::uint64_t held = 0;
+        for (std::uint32_t i = 0; i < z_; ++i) {
+            const auto [id, data] = take(i);
+            const std::uint64_t keep = 0 - std::uint64_t{i < k};
+            held |= rec[i];
+            rec[i] = encodeId(id) & keep;
+            rec[z_ + i] = data & keep;
+        }
+        return held != 0;
     }
 
     /** Place a block in the first dummy slot of @p node; false if the
@@ -314,6 +345,32 @@ class BinaryTree
 
     std::uint64_t chunkWords() const { return kChunkBuckets * 2 * z_; }
 
+    /** The stored form of @p id in a record's id words (id + 1, so a
+     *  dummy slot is 0). */
+    static std::uint64_t encodeId(BlockId id) { return id.value() + 1; }
+    /** The inverse of encodeId; a stored 0 decodes to kInvalidBlock. */
+    static BlockId decodeId(std::uint64_t stored)
+    {
+        return BlockId{stored - 1};
+    }
+
+    /** Record of @p node for writes that only ever touch a bucket
+     *  holding a block (never one of the shared zero chunk). */
+    std::uint64_t *mutableRecord(TreeIdx node)
+    {
+        return const_cast<std::uint64_t *>(record(node));
+    }
+
+    /** Record of @p node for any write: allocates the owning chunk
+     *  if it is still the shared zero chunk. */
+    std::uint64_t *writableRecord(TreeIdx node)
+    {
+        const std::uint64_t chunk = node.value() >> kChunkShift;
+        if (!materialized(chunk))
+            materialize(chunk);
+        return mutableRecord(node);
+    }
+
     /** First write into an unwritten chunk of an on-demand tree. */
     void materialize(std::uint64_t chunk);
 
@@ -340,6 +397,9 @@ class BinaryTree
     std::unique_ptr<std::uint64_t[]> zeroChunk_;
     std::unique_ptr<std::unique_ptr<std::uint64_t[]>[]> owned_;
     std::uint64_t chunksMaterialized_ = 0;
+    /** One record's worth of words that emptyBucketInto's zero stores
+     *  for an empty bucket go to. */
+    std::unique_ptr<std::uint64_t[]> spare_;
 };
 
 inline std::uint32_t

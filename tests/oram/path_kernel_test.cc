@@ -330,5 +330,74 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<2>(info.param));
     });
 
+/**
+ * On on-demand storage an empty bucket is only read: a path drained
+ * and written back with nothing to place allocates no chunk, and an
+ * eviction allocates only the chunks of the buckets it fills.
+ */
+TEST(PathKernelStorage, OnlyFilledBucketsAllocateTheirChunks)
+{
+    for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
+        SCOPED_TRACE(schemeKindName(kind));
+        OramConfig cfg;
+        cfg.numDataBlocks = 4096;
+        cfg.lazyInit = true;
+        cfg.scheme = kind;
+        const std::uint64_t n = cfg.numDataBlocks;
+        const Leaf leaves{static_cast<std::uint32_t>(1ULL << cfg.levels())};
+        // Neither scheme picks its background eviction path from the
+        // data (Path draws it from the scheme's RNG, Ring takes the
+        // next reverse-lexicographic path), so a twin built from the
+        // same configuration and given the same calls names the
+        // scheme's next one.
+        PositionMap pos_map(n, leaves);
+        PositionMap twin_map(n, leaves);
+        const std::unique_ptr<OramScheme> scheme =
+            makeOramScheme(cfg, pos_map);
+        const std::unique_ptr<OramScheme> twin =
+            makeOramScheme(cfg, twin_map);
+        const BinaryTree &tree = scheme->tree();
+        const std::uint32_t levels = scheme->levels();
+        ASSERT_GE(levels, 8u);
+        ASSERT_GT(tree.numChunks(), 1u);
+
+        // An empty tree and an empty stash: reads, write-backs and
+        // background evictions allocate nothing.
+        Rng rng(3);
+        for (int step = 0; step < 24; ++step) {
+            const Leaf leaf{
+                static_cast<std::uint32_t>(rng.below(leaves.value()))};
+            for (OramScheme *s : {scheme.get(), twin.get()}) {
+                s->readPath(leaf);
+                s->writePath(leaf);
+            }
+            ASSERT_EQ(scheme->dummyAccess(), twin->dummyAccess());
+        }
+        EXPECT_GE(scheme->pathReads(), 48u);
+        EXPECT_EQ(tree.chunksMaterialized(), 0u);
+
+        // One block for each of levels 0-7 of the next eviction path:
+        // a block whose leaf first differs from the path's at level
+        // l + 1 can go no deeper than level l. Levels 0-7 are buckets
+        // 0-254, all in chunk 0.
+        const Leaf next = twin->dummyAccess();
+        for (std::uint32_t l = 0; l < 8; ++l) {
+            const BlockId id{l};
+            pos_map.setLeaf(id,
+                            Leaf{next.value() ^ (1u << (levels - 1 - l))});
+            ASSERT_TRUE(scheme->stash().insert(id, 100 + l));
+        }
+        ASSERT_EQ(scheme->dummyAccess(), next);
+        EXPECT_EQ(scheme->stash().size(), 0u);
+        EXPECT_EQ(tree.countRealBlocks(), 8u);
+        for (std::uint32_t l = 0; l < 8; ++l) {
+            EXPECT_EQ(tree.slotId(scheme->nodeOnPath(next, Level{l}), 0),
+                      BlockId{l});
+        }
+        EXPECT_EQ(tree.chunksMaterialized(), 1u);
+        EXPECT_TRUE(tree.materialized(0));
+    }
+}
+
 } // namespace
 } // namespace proram

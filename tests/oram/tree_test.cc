@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/logging.hh"
@@ -249,13 +250,21 @@ TEST(SparseTree, ImplicitChunksReadAllDummyWithoutMaterializing)
             EXPECT_EQ(t.slotData(n, i), 0u);
         }
     }
-    // Reads, prefetches, the drain's record access and clears of empty
-    // slots never allocate.
+    // Reads, prefetches, drains and clears of empty slots never
+    // allocate.
     t.clearSlot(900_node, 1);
     t.prefetchBucket(1500_node);
-    const std::uint64_t *rec = t.mutableRecord(1600_node);
-    for (std::uint32_t w = 0; w < 2 * t.z(); ++w)
-        EXPECT_EQ(rec[w], 0u) << "word " << w;
+    std::vector<BlockId> ids(t.z());
+    std::vector<std::uint64_t> payloads(t.z());
+    std::uint32_t seen = 0;
+    EXPECT_EQ(t.emptyBucketInto(1600_node, ids.data(), payloads.data(),
+                                [&](BlockId id) {
+                                    EXPECT_EQ(id, kInvalidBlock);
+                                    ++seen;
+                                }),
+              0u)
+        << "an empty bucket drained a block";
+    EXPECT_EQ(seen, t.z());
     EXPECT_EQ(t.countRealBlocks(), 0u);
     EXPECT_EQ(t.chunksMaterialized(), 0u);
     for (std::uint64_t c = 0; c < t.numChunks(); ++c)
@@ -281,6 +290,32 @@ TEST(SparseTree, WritesMaterializeOnlyTouchedChunks)
     EXPECT_EQ(t.occupancy(1000_node), 0u);
     EXPECT_EQ(t.countRealBlocks(), 1u);
     EXPECT_EQ(t.chunksMaterialized(), 2u);
+}
+
+TEST(SparseTree, FillEmptyBucketTakesKBlocksAndAllocatesItsChunk)
+{
+    BinaryTree t(10, 3, kOnDemand);
+    std::uint32_t calls = 0;
+    const auto take = [&](std::uint32_t i) {
+        EXPECT_EQ(i, calls++);
+        return std::pair{BlockId{40 + i}, std::uint64_t{400 + i}};
+    };
+    // Slots 0 and 1 take blocks; slot 2's pair is read and masked off.
+    EXPECT_FALSE(t.fillEmptyBucket(1000_node, 2, take)); // chunk 3
+    EXPECT_EQ(calls, 3u);
+    EXPECT_EQ(t.chunksMaterialized(), 1u);
+    EXPECT_TRUE(t.materialized(3));
+    EXPECT_EQ(t.slotId(1000_node, 0), BlockId{40});
+    EXPECT_EQ(t.slotData(1000_node, 0), 400u);
+    EXPECT_EQ(t.slotId(1000_node, 1), BlockId{41});
+    EXPECT_EQ(t.slotData(1000_node, 1), 401u);
+    EXPECT_EQ(t.slotId(1000_node, 2), kInvalidBlock);
+    EXPECT_EQ(t.slotData(1000_node, 2), 0u);
+    EXPECT_EQ(t.countRealBlocks(), 2u);
+    // A fill over a bucket that still holds a block says so.
+    calls = 0;
+    EXPECT_TRUE(t.fillEmptyBucket(1000_node, 1, take));
+    EXPECT_EQ(t.occupancy(1000_node), 1u);
 }
 
 TEST(SparseTree, OccupancyScanAfterRawCorruptionInFreshChunk)
@@ -318,8 +353,13 @@ TEST(SparseTree, BackendsAreFunctionallyIdentical)
             t.tryPlace(TreeIdx{n}, BlockId{n}, n * 3);
         t.tryPlace(TreeIdx{37}, 5_id, 50);
         t.clearSlot(TreeIdx{37}, 0);
-        for (std::uint32_t i = 0; i < t.z(); ++i)
-            t.clearSlot(TreeIdx{74}, i);
+        BlockId ids[3];
+        std::uint64_t payloads[3];
+        EXPECT_EQ(t.emptyBucketInto(TreeIdx{74}, ids, payloads,
+                                    [](BlockId) {}),
+                  1u);
+        EXPECT_EQ(ids[0], BlockId{74});
+        EXPECT_EQ(payloads[0], 74u * 3);
     }
     const BinaryTree &eager = trees[0];
     const BinaryTree &lazy = trees[1];
