@@ -93,8 +93,8 @@ OramScheme::drainPath(Leaf leaf)
     std::uint64_t *payloads = drainDataScratch_.data();
     std::uint32_t drained = 0;
     for (std::uint32_t l = 0; l < depth; ++l) {
-        drained += tree_.emptyBucketInto(
-            nodes[l], ids + drained, payloads + drained,
+        drained = tree_.emptyBucketInto(
+            nodes[l], ids, payloads, drained,
             [this](BlockId id) { posMap_.prefetchEntry(id); });
     }
     // 3. The blocks enter the stash in drain order - the order the

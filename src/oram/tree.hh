@@ -206,27 +206,27 @@ class BinaryTree
     }
 
     /**
-     * Move bucket @p node's real blocks out, in slot order, and leave
-     * the bucket empty: ids[0, n) and payloads[0, n) take the n real
-     * blocks, and @p seen is called with every slot's id (kInvalidBlock
-     * for a dummy slot). @return n. No branch per slot: each slot is
-     * copied to place n, which it keeps only if it held a block, so
-     * both arrays need room for Z entries. Only a bucket that held a
-     * block is written - the zero stores of an empty one, such as every
-     * bucket of an unwritten chunk, go to a spare record - so this
-     * never allocates.
+     * Move bucket @p node's real blocks out, in slot order, to places
+     * @p n on of @p ids and @p payloads, and leave the bucket empty.
+     * @return @p n plus the blocks moved. @p seen is called with every
+     * slot's id (kInvalidBlock for a dummy slot). No branch per slot:
+     * each slot is copied to the next place, which it keeps only if it
+     * held a block, so both arrays need room for Z entries from @p n
+     * on. Only a bucket that held a block is written - the zero stores
+     * of an empty one, such as every bucket of an unwritten chunk, go
+     * to a spare record - so this never allocates.
      */
     template <typename Seen>
     PRORAM_OBLIVIOUS PRORAM_HOT __attribute__((always_inline)) std::uint32_t
     emptyBucketInto(TreeIdx node, BlockId *ids, std::uint64_t *payloads,
-                    Seen &&seen)
+                    std::uint32_t n, Seen &&seen)
     {
-        std::uint64_t *rec = mutableRecord(node);
+        std::uint64_t *const spare = spare_.get();
+        std::uint64_t *const rec = mutableRecord(node);
         std::uint64_t held = 0;
         for (std::uint32_t i = 0; i < z_; ++i)
             held |= rec[i];
-        std::uint64_t *emptied = held != 0 ? rec : spare_.get();
-        std::uint32_t n = 0;
+        std::uint64_t *const emptied = held != 0 ? rec : spare;
         for (std::uint32_t i = 0; i < z_; ++i) {
             const std::uint64_t stored = rec[i];
             const BlockId id = decodeId(stored);
@@ -254,14 +254,17 @@ class BinaryTree
     PRORAM_OBLIVIOUS PRORAM_HOT __attribute__((always_inline)) bool
     fillEmptyBucket(TreeIdx node, std::uint32_t k, Take &&take)
     {
-        std::uint64_t *rec = writableRecord(node);
+        // z in a local: take may store through a pointer that could
+        // alias z_, which would reload it every trip.
+        const std::uint32_t z = z_;
+        std::uint64_t *const rec = writableRecord(node);
         std::uint64_t held = 0;
-        for (std::uint32_t i = 0; i < z_; ++i) {
+        for (std::uint32_t i = 0; i < z; ++i) {
             const auto [id, data] = take(i);
             const std::uint64_t keep = 0 - std::uint64_t{i < k};
             held |= rec[i];
             rec[i] = encodeId(id) & keep;
-            rec[z_ + i] = data & keep;
+            rec[z + i] = data & keep;
         }
         return held != 0;
     }

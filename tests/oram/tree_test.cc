@@ -257,7 +257,7 @@ TEST(SparseTree, ImplicitChunksReadAllDummyWithoutMaterializing)
     std::vector<BlockId> ids(t.z());
     std::vector<std::uint64_t> payloads(t.z());
     std::uint32_t seen = 0;
-    EXPECT_EQ(t.emptyBucketInto(1600_node, ids.data(), payloads.data(),
+    EXPECT_EQ(t.emptyBucketInto(1600_node, ids.data(), payloads.data(), 0,
                                 [&](BlockId id) {
                                     EXPECT_EQ(id, kInvalidBlock);
                                     ++seen;
@@ -353,13 +353,14 @@ TEST(SparseTree, BackendsAreFunctionallyIdentical)
             t.tryPlace(TreeIdx{n}, BlockId{n}, n * 3);
         t.tryPlace(TreeIdx{37}, 5_id, 50);
         t.clearSlot(TreeIdx{37}, 0);
-        BlockId ids[3];
-        std::uint64_t payloads[3];
-        EXPECT_EQ(t.emptyBucketInto(TreeIdx{74}, ids, payloads,
+        // Appended after one earlier block, at place 1.
+        BlockId ids[4];
+        std::uint64_t payloads[4];
+        EXPECT_EQ(t.emptyBucketInto(TreeIdx{74}, ids, payloads, 1,
                                     [](BlockId) {}),
-                  1u);
-        EXPECT_EQ(ids[0], BlockId{74});
-        EXPECT_EQ(payloads[0], 74u * 3);
+                  2u);
+        EXPECT_EQ(ids[1], BlockId{74});
+        EXPECT_EQ(payloads[1], 74u * 3);
     }
     const BinaryTree &eager = trees[0];
     const BinaryTree &lazy = trees[1];
