@@ -27,12 +27,8 @@ main()
     trace.computeCycles = 4;
     trace.seed = 42;
 
-    const Experiment exp(defaultSystemConfig(), 1.0);
-    auto gen = [&] {
-        return std::make_unique<SyntheticGenerator>(trace);
-    };
-
-    const auto oram = exp.runGenerator(MemScheme::OramBaseline, gen);
+    const Experiment exp(defaultSystemConfig());
+    const auto oram = run(exp.cell(MemScheme::OramBaseline, trace));
     std::printf("%-10s %12s %10s %8s %8s %8s %12s\n", "scheme",
                 "cycles", "paths", "merges", "breaks", "bg",
                 "prefetch-miss");
@@ -49,18 +45,16 @@ main()
     };
 
     report(oram);
-    report(exp.runGenerator(MemScheme::OramStatic, gen));
-    const auto dyn = exp.runGenerator(MemScheme::OramDynamic, gen);
+    report(run(exp.cell(MemScheme::OramStatic, trace)));
+    const Cell dyn_cell = exp.cell(MemScheme::OramDynamic, trace);
+    const auto dyn = run(dyn_cell);
     report(dyn);
 
     // The same run with breaking disabled, to show what adaptivity
     // buys (this is the am_nb variant of Fig. 6b).
-    const auto no_break = exp.runWith(
-        MemScheme::OramDynamic,
-        [](SystemConfig &c) {
-            c.dynamic.breakMode = DynamicPolicyConfig::BreakMode::None;
-        },
-        gen);
+    Cell nb_cell = dyn_cell;
+    nb_cell.config.dynamic.breakMode = DynamicPolicyConfig::BreakMode::None;
+    const auto no_break = run(nb_cell);
     std::printf("%-10s %12llu %10llu %8llu %8llu %8llu %11.1f%%   "
                 "(dyn with breaking disabled)\n",
                 "dyn_nb",

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     const Experiment exp(defaultSystemConfig(),
                          scale > 0 ? scale : 1.0);
 
-    const auto dram = exp.runBenchmark(MemScheme::Dram, prof);
+    const auto dram = run(exp.cell(MemScheme::Dram, prof));
     std::printf("%-10s %14s %10s %12s %10s\n", "scheme", "cycles",
                 "vs dram", "mem.accesses", "vs oram");
 
@@ -43,7 +43,7 @@ main(int argc, char **argv)
          {MemScheme::Dram, MemScheme::DramPrefetch,
           MemScheme::OramBaseline, MemScheme::OramPrefetch,
           MemScheme::OramStatic, MemScheme::OramDynamic}) {
-        const auto r = exp.runBenchmark(s, prof);
+        const auto r = run(exp.cell(s, prof));
         if (s == MemScheme::OramBaseline)
             oram = r;
         const bool have_oram = oram.cycles != Cycles{0};

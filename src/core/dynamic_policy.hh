@@ -42,6 +42,8 @@ struct DynamicPolicyConfig
      * maxSbSize << strideLog must fit in one position-map block.
      */
     std::uint32_t strideLog = 0;
+
+    bool operator==(const DynamicPolicyConfig &) const = default;
 };
 
 /**

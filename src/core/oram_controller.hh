@@ -48,6 +48,8 @@ struct ControllerConfig
      */
     bool traditionalPrefetcher = false;
     PrefetcherConfig prefetcher{};
+
+    bool operator==(const ControllerConfig &) const = default;
 };
 
 /** Counters the experiment harness reads after a run. */

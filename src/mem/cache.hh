@@ -30,6 +30,8 @@ struct CacheConfig
 
     std::uint64_t numLines() const { return sizeBytes / lineBytes; }
     std::uint64_t numSets() const { return numLines() / ways; }
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** A line pushed out of the cache by an insertion. */

@@ -27,6 +27,8 @@ struct HierarchyConfig
     CacheConfig l2{512 * 1024, 8, 128};
     Cycles l1Latency{1};
     Cycles l2Latency{10};
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /**

@@ -27,6 +27,8 @@ struct DramConfig
     double bytesPerCycle = 16.0;
     /** Transfer granularity = cache line size in bytes. */
     std::uint32_t lineBytes = 128;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /**

@@ -31,6 +31,8 @@ struct DramBackendConfig
     PrefetcherConfig prefetcher{};
     /** Prefetch buffer (stream buffer) capacity in lines. */
     std::uint32_t bufferLines = 32;
+
+    bool operator==(const DramBackendConfig &) const = default;
 };
 
 /** The backend. */

@@ -34,6 +34,8 @@ struct PrefetcherConfig
     std::uint32_t distance = 4;
     /** Consecutive unit-stride misses required to train a stream. */
     std::uint32_t trainThreshold = 2;
+
+    bool operator==(const PrefetcherConfig &) const = default;
 };
 
 /**

@@ -76,6 +76,8 @@ struct AuditConfig
     double chiSquareCritical = 0.0;
     /** Consecutive-repeat budget: factor * expected + factor. */
     double repeatFactor = 8.0;
+
+    bool operator==(const AuditConfig &) const = default;
 };
 
 /** One check's verdict. */

@@ -145,6 +145,8 @@ struct OramConfig
 
     /** Validate invariants; throws SimFatal on bad configuration. */
     void validate() const;
+
+    bool operator==(const OramConfig &) const = default;
 };
 
 } // namespace proram

@@ -20,6 +20,8 @@ struct PeriodicConfig
     bool enabled = false;
     /** Public interval between consecutive ORAM accesses (cycles). */
     Cycles oInt{100};
+
+    bool operator==(const PeriodicConfig &) const = default;
 };
 
 /** Result of scheduling one logical request. */

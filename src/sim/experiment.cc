@@ -5,8 +5,6 @@
 #include <future>
 #include <mutex>
 
-#include "trace/trace_file.hh"
-
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -44,62 +42,17 @@ normCompletionTime(const SimResult &base, const SimResult &x)
 
 } // namespace metrics
 
-Experiment::Experiment(SystemConfig base, double trace_scale)
-    : base_(std::move(base)), scale_(trace_scale)
+namespace
 {
-    fatal_if(scale_ <= 0.0, "trace scale must be positive");
-}
 
-SimResult
-Experiment::runBenchmark(MemScheme scheme,
-                         const BenchmarkProfile &profile) const
-{
-    return runGenerator(scheme, [&] {
-        return makeGenerator(profile, scale_);
-    });
-}
-
-SimResult
-Experiment::runGenerator(
-    MemScheme scheme,
-    const std::function<std::unique_ptr<TraceGenerator>()> &make_gen)
-    const
-{
-    return runWith(scheme, [](SystemConfig &) {}, make_gen);
-}
-
-SimResult
-Experiment::runReplay(MemScheme scheme,
-                      const std::vector<TraceRecord> &records) const
-{
-    return runGenerator(scheme, [&] {
-        return std::make_unique<ReplayGenerator>(records);
-    });
-}
-
-SimResult
-Experiment::runWith(
-    MemScheme scheme, const std::function<void(SystemConfig &)> &tweak,
-    const std::function<std::unique_ptr<TraceGenerator>()> &make_gen)
-    const
-{
-    SystemConfig cfg = base_;
-    cfg.scheme = scheme;
-    tweak(cfg);
-    System system(cfg);
-    auto gen = make_gen();
-    SimResult res = system.run(*gen);
-    appendMetrics(system);
-    return res;
-}
-
+/** Append @p system's metrics JSON to $PRORAM_METRICS_FILE (JSON
+ *  Lines; no-op when the variable is unset). */
 void
-Experiment::appendMetrics(System &system)
+appendMetrics(System &system)
 {
-    // Opt-in machine-readable dump: one metrics JSON object per run,
-    // appended as JSON Lines. Grid cells run on pool threads, so the
-    // append is serialized; ordering across cells is scheduling-
-    // dependent, which is fine for JSONL (each line is labeled).
+    // Grid cells run on pool threads, so the append is serialized;
+    // ordering across cells is scheduling-dependent, which is fine
+    // for JSONL (each line is labeled).
     static std::mutex mtx;
     const char *path = env::get("PRORAM_METRICS_FILE");
     if (!path || path[0] == '\0')
@@ -114,9 +67,39 @@ Experiment::appendMetrics(System &system)
     os << line << "\n";
 }
 
+} // namespace
+
+SimResult
+run(const Cell &cell)
+{
+    System system(cell.config);
+    std::unique_ptr<TraceGenerator> gen;
+    if (const auto *prof = std::get_if<BenchmarkProfile>(&cell.workload))
+        gen = makeGenerator(*prof, cell.scale);
+    else
+        gen = std::make_unique<SyntheticGenerator>(
+            std::get<SyntheticConfig>(cell.workload));
+    SimResult res = system.run(*gen);
+    appendMetrics(system);
+    return res;
+}
+
+Experiment::Experiment(SystemConfig base, double trace_scale)
+    : base_(std::move(base)), scale_(trace_scale)
+{
+    fatal_if(scale_ <= 0.0, "trace scale must be positive");
+}
+
+Cell
+Experiment::cell(MemScheme scheme, Workload workload) const
+{
+    Cell c{base_, std::move(workload), scale_};
+    c.config.scheme = scheme;
+    return c;
+}
+
 std::vector<SimResult>
-Experiment::runGrid(const std::vector<GridCell> &cells,
-                    unsigned threads) const
+Experiment::runGrid(const std::vector<GridCell> &cells, unsigned threads)
 {
     if (threads == 0)
         threads = util::ThreadPool::defaultThreadCount();
@@ -140,6 +123,39 @@ Experiment::runGrid(const std::vector<GridCell> &cells,
     for (std::size_t i = 0; i < cells.size(); ++i)
         results[i] = futures[i].get();
     return results;
+}
+
+const SimResult &
+CellReplay::ask(const Cell &cell)
+{
+    if (replaying_) {
+        panic_if(cursor_ == log_.size() || cells_[log_[cursor_]] != cell,
+                 "replay ask ", cursor_, " is not the cell recorded there");
+        return results_[log_[cursor_++]];
+    }
+    const auto it = std::find(cells_.begin(), cells_.end(), cell);
+    log_.push_back(static_cast<std::size_t>(it - cells_.begin()));
+    if (it == cells_.end())
+        cells_.push_back(cell);
+    static const SimResult placeholder = [] {
+        SimResult r;
+        r.cycles = Cycles{1};
+        r.memAccesses = 1;
+        return r;
+    }();
+    return placeholder;
+}
+
+void
+CellReplay::simulate(unsigned threads)
+{
+    panic_if(replaying_, "CellReplay::simulate called twice");
+    std::vector<Experiment::GridCell> grid;
+    grid.reserve(cells_.size());
+    for (const Cell &c : cells_)
+        grid.push_back([&c] { return run(c); });
+    results_ = Experiment::runGrid(grid, threads);
+    replaying_ = true;
 }
 
 double

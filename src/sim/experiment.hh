@@ -1,9 +1,10 @@
 /**
  * @file
- * Experiment harness: builds (scheme x workload) grids, runs fresh
- * Systems, and computes the derived metrics the paper plots (speedup
- * over a baseline, normalized memory accesses, normalized completion
- * time). Every bench/ binary is a thin driver over these helpers.
+ * Experiment harness: simulation runs as values (Cell), a parallel
+ * grid runner, a record/replay runner that lets straight-line figure
+ * code share one grid, and the derived metrics the paper plots
+ * (speedup over a baseline, normalized memory accesses, normalized
+ * completion time). bench/paper.cc is built on these.
  */
 
 #ifndef PRORAM_SIM_EXPERIMENT_HH
@@ -11,10 +12,12 @@
 
 #include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/system.hh"
 #include "trace/benchmarks.hh"
+#include "trace/synthetic.hh"
 
 namespace proram
 {
@@ -34,49 +37,53 @@ double normCompletionTime(const SimResult &base, const SimResult &x);
 
 } // namespace metrics
 
+/** What a cell runs: a named profile or the Sec. 5.3 synthetic. */
+using Workload = std::variant<BenchmarkProfile, SyntheticConfig>;
+
 /**
- * One experiment runner. Holds a base SystemConfig plus a trace
- * scale factor so the whole evaluation can be shrunk for smoke tests
- * (PRORAM_BENCH_SCALE environment variable in the bench binaries).
+ * One simulation run as a value: everything its SimResult depends
+ * on. Every seed is a config field, so equal cells give equal
+ * results, and a grid may simulate each distinct cell once.
+ */
+struct Cell
+{
+    SystemConfig config;
+    Workload workload;
+    /** Multiplies a profile's access count (PRORAM_BENCH_SCALE). A
+     *  SyntheticConfig carries its own numAccesses. */
+    double scale = 1.0;
+
+    bool operator==(const Cell &) const = default;
+};
+
+/**
+ * Run @p cell on a fresh System and return its result. Appends the
+ * run's metrics JSON to $PRORAM_METRICS_FILE (JSON Lines; no-op when
+ * the variable is unset).
+ */
+SimResult run(const Cell &cell);
+
+/**
+ * One experiment: a base SystemConfig plus a trace scale factor, so
+ * the whole evaluation can be shrunk for smoke tests
+ * (PRORAM_BENCH_SCALE), and the grid runner.
  */
 class Experiment
 {
   public:
     /**
-     * One (scheme x workload) grid cell: a closure that builds and
-     * runs a fresh, self-contained System. Cells must not share
-     * mutable state - all randomness derives from config seeds, which
-     * is what makes parallel execution bit-identical to serial.
+     * One grid cell as a closure that builds and runs a fresh,
+     * self-contained System. Cells must not share mutable state - all
+     * randomness derives from config seeds, which is what makes
+     * parallel execution bit-identical to serial.
      */
     using GridCell = std::function<SimResult()>;
 
     explicit Experiment(SystemConfig base, double trace_scale = 1.0);
 
-    /** Run @p scheme over a named benchmark profile. */
-    SimResult runBenchmark(MemScheme scheme,
-                           const BenchmarkProfile &profile) const;
-
-    /** Run @p scheme over a custom generator factory. */
-    SimResult
-    runGenerator(MemScheme scheme,
-                 const std::function<std::unique_ptr<TraceGenerator>()>
-                     &make_gen) const;
-
-    /**
-     * Run @p scheme over a pre-decoded record vector. Replay feeds
-     * the core through the batched decode fast path (contiguous
-     * copies, no per-record dispatch), so this is the cheapest way to
-     * drive one trace through many schemes.
-     */
-    SimResult runReplay(MemScheme scheme,
-                        const std::vector<TraceRecord> &records) const;
-
-    /** Same, with per-run config tweaks applied before building. */
-    SimResult runWith(
-        MemScheme scheme,
-        const std::function<void(SystemConfig &)> &tweak,
-        const std::function<std::unique_ptr<TraceGenerator>()> &make_gen)
-        const;
+    /** The cell running @p workload under @p scheme on the base
+     *  config at the trace scale. */
+    Cell cell(MemScheme scheme, Workload workload) const;
 
     /**
      * Run every cell and return results in cell order. Cells execute
@@ -86,20 +93,47 @@ class Experiment
      * either way; a cell's exception is rethrown after in-flight
      * cells finish.
      */
-    std::vector<SimResult> runGrid(const std::vector<GridCell> &cells,
-                                   unsigned threads = 0) const;
+    static std::vector<SimResult> runGrid(const std::vector<GridCell> &cells,
+                                          unsigned threads = 0);
 
     SystemConfig &baseConfig() { return base_; }
-    const SystemConfig &baseConfig() const { return base_; }
     double traceScale() const { return scale_; }
 
   private:
-    /** Append the run's metrics JSON to $PRORAM_METRICS_FILE (JSON
-     *  Lines; no-op when the variable is unset). */
-    static void appendMetrics(System &system);
-
     SystemConfig base_;
     double scale_;
+};
+
+/**
+ * Record/replay runner: straight-line code asks for results one cell
+ * at a time, yet its cells run together on one runGrid pool. Run the
+ * code twice. While recording, ask() logs each cell and answers with
+ * a placeholder (cycles and memory accesses 1, which the metrics
+ * helpers accept). simulate() runs every distinct logged cell once,
+ * in first-asked order, and starts the replay: ask() then answers
+ * from those results, and panics when the code asks for another cell
+ * than it asked at the same position while recording.
+ */
+class CellReplay
+{
+  public:
+    const SimResult &ask(const Cell &cell);
+
+    /** End the recording: simulate each distinct cell once on
+     *  @p threads workers (0 = the default count). */
+    void simulate(unsigned threads = 0);
+
+    /** Cells asked while recording. */
+    std::size_t asked() const { return log_.size(); }
+    /** Distinct cells among them: what simulate() runs. */
+    std::size_t distinct() const { return cells_.size(); }
+
+  private:
+    std::vector<Cell> cells_;        ///< distinct, first-asked order
+    std::vector<std::size_t> log_;   ///< ask position -> cells_ index
+    std::vector<SimResult> results_; ///< parallel to cells_
+    bool replaying_ = false;
+    std::size_t cursor_ = 0;         ///< next replayed ask
 };
 
 /** Geometric-ish aggregate the paper reports: arithmetic mean. */

@@ -73,6 +73,8 @@ struct SystemConfig
 
     /** Consistency checks across subsystems. */
     void validate() const;
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Table 1 defaults. */

@@ -57,6 +57,8 @@ struct BenchmarkProfile
 
     std::uint32_t blockBytes = 128;
     std::uint64_t seed = 42;
+
+    bool operator==(const BenchmarkProfile &) const = default;
 };
 
 /** Generator realizing a BenchmarkProfile. Deterministic. */

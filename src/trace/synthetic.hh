@@ -46,6 +46,8 @@ struct SyntheticConfig
     double writeFraction = 0.2;
     std::uint32_t blockBytes = 128;
     std::uint64_t seed = 7;
+
+    bool operator==(const SyntheticConfig &) const = default;
 };
 
 /** The generator. Deterministic for a given config. */

@@ -12,6 +12,7 @@
 
 #include "sim/experiment.hh"
 #include "trace/benchmarks.hh"
+#include "trace/trace_file.hh"
 
 namespace proram
 {
@@ -43,11 +44,9 @@ SimResult
 runWithBatch(const Experiment &exp, MemScheme scheme,
              std::uint32_t batch)
 {
-    return exp.runWith(
-        scheme,
-        [batch](SystemConfig &cfg) { cfg.cpuBatch = batch; },
-        [&] { return makeGenerator(profileByName("cholesky"),
-                                   exp.traceScale()); });
+    Cell c = exp.cell(scheme, profileByName("cholesky"));
+    c.config.cpuBatch = batch;
+    return run(c);
 }
 
 TEST(BatchedDrive, BatchSizeNeverChangesResults)
@@ -67,22 +66,22 @@ TEST(BatchedDrive, BatchSizeNeverChangesResults)
 
 TEST(BatchedDrive, ReplayFastPathMatchesLiveGenerator)
 {
-    // runReplay feeds pre-decoded records through the contiguous-copy
-    // fillBatch; the live generator decodes per batch. Same records,
-    // same machine - same stats.
-    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    // ReplayGenerator feeds pre-decoded records through the
+    // contiguous-copy fillBatch; the live generator decodes per batch.
+    // Same records, same machine - same stats.
+    const Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    const Cell live_cell =
+        exp.cell(MemScheme::OramDynamic, profileByName("radix"));
     auto gen = makeGenerator(profileByName("radix"), 0.02);
     std::vector<TraceRecord> records;
     TraceRecord rec;
     while (gen->next(rec))
         records.push_back(rec);
 
-    const SimResult live =
-        exp.runBenchmark(MemScheme::OramDynamic,
-                         profileByName("radix"));
-    const SimResult replay =
-        exp.runReplay(MemScheme::OramDynamic, records);
-    expectSameResult(live, replay, "replay vs live");
+    ReplayGenerator replay_gen(std::move(records));
+    System system(live_cell.config);
+    const SimResult replay = system.run(replay_gen);
+    expectSameResult(run(live_cell), replay, "replay vs live");
 }
 
 } // namespace

@@ -95,13 +95,13 @@ TEST(EndToEnd, StencilSweepBenefitsFromPrefetching)
 /** Full trace-driven runs complete and agree with CPU accounting. */
 TEST(EndToEnd, TraceRunsAllSchemes)
 {
-    Experiment exp(defaultSystemConfig(), 0.05);
+    const Experiment exp(defaultSystemConfig(), 0.05);
     const auto &prof = profileByName("cholesky");
     for (MemScheme s :
          {MemScheme::Dram, MemScheme::DramPrefetch,
           MemScheme::OramBaseline, MemScheme::OramPrefetch,
           MemScheme::OramStatic, MemScheme::OramDynamic}) {
-        const auto res = exp.runBenchmark(s, prof);
+        const auto res = run(exp.cell(s, prof));
         EXPECT_GT(res.cycles, Cycles{0}) << schemeName(s);
         EXPECT_EQ(res.references, prof.numAccesses / 20)
             << schemeName(s);
@@ -112,12 +112,11 @@ TEST(EndToEnd, TraceRunsAllSchemes)
 /** The whole benchmark registry is runnable. */
 TEST(EndToEnd, EveryProfileRuns)
 {
-    Experiment exp(defaultSystemConfig(), 0.01);
+    const Experiment exp(defaultSystemConfig(), 0.01);
     for (const auto *suite :
          {&splash2Suite(), &spec06Suite(), &dbmsSuite()}) {
         for (const auto &p : *suite) {
-            const auto res =
-                exp.runBenchmark(MemScheme::OramDynamic, p);
+            const auto res = run(exp.cell(MemScheme::OramDynamic, p));
             EXPECT_GT(res.cycles, Cycles{0}) << p.name;
         }
     }

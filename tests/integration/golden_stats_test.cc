@@ -70,10 +70,9 @@ expectGolden(const Golden &g, const SimResult &r)
 
 TEST(GoldenStats, Fig08TinyMatchesSeedCapture)
 {
-    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    const Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
     for (const Golden &g : kGoldens) {
-        const SimResult r =
-            exp.runBenchmark(g.scheme, profileByName(g.profile));
+        const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));
         SCOPED_TRACE(std::string(g.profile) + "/" + r.scheme);
         expectGolden(g, r);
     }
@@ -116,15 +115,9 @@ const PeriodicGolden kPeriodicGoldens[] = {
 TEST(GoldenStats, Fig08TinyPeriodicModeMatchesCapture)
 {
     Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    exp.baseConfig().controller.periodic.enabled = true;
     for (const PeriodicGolden &g : kPeriodicGoldens) {
-        const SimResult r = exp.runWith(
-            g.scheme,
-            [](SystemConfig &cfg) {
-                cfg.controller.periodic.enabled = true;
-            },
-            [&] {
-                return makeGenerator(profileByName(g.profile), 0.02);
-            });
+        const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));
         SCOPED_TRACE(std::string(g.profile) + "/" + r.scheme);
         EXPECT_EQ(r.cycles, Cycles{g.cycles});
         EXPECT_EQ(r.pathAccesses, g.pathAccesses);

@@ -96,16 +96,12 @@ TEST(ReplayDeterminism, ParallelGridMatchesSerialGrid)
         for (MemScheme s :
              {MemScheme::Dram, MemScheme::OramBaseline,
               MemScheme::OramStatic, MemScheme::OramDynamic}) {
-            cells.push_back(
-                [&exp, s, prof] { return exp.runBenchmark(s, *prof); });
+            cells.push_back([c = exp.cell(s, *prof)] { return run(c); });
         }
     }
-    cells.push_back([&exp, &prof_a] {
-        return exp.runWith(
-            MemScheme::OramDynamic,
-            [](SystemConfig &c) { c.oram.plbEntries = 8; },
-            [&] { return makeGenerator(prof_a, 0.03); });
-    });
+    Cell small_plb = exp.cell(MemScheme::OramDynamic, prof_a);
+    small_plb.config.oram.plbEntries = 8;
+    cells.push_back([small_plb] { return run(small_plb); });
 
     const auto serial = exp.runGrid(cells, 1);
     const auto parallel = exp.runGrid(cells, 4);
@@ -128,7 +124,7 @@ TEST(ReplayDeterminism, GridCellExceptionPropagates)
     const Experiment exp(defaultSystemConfig(), 0.03);
     std::vector<Experiment::GridCell> cells;
     cells.push_back([&exp] {
-        return exp.runBenchmark(MemScheme::Dram, profileByName("fft"));
+        return run(exp.cell(MemScheme::Dram, profileByName("fft")));
     });
     cells.push_back(
         []() -> SimResult { throw std::runtime_error("boom"); });

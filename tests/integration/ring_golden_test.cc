@@ -125,15 +125,9 @@ expectRingGolden(const RingGolden &g, const SimResult &r)
 TEST(RingGolden, Fig08TinyMatchesCapture)
 {
     Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    exp.baseConfig().oram.scheme = SchemeKind::Ring;
     for (const RingGolden &g : kRingGoldens) {
-        const SimResult r = exp.runWith(
-            g.scheme,
-            [](SystemConfig &cfg) {
-                cfg.oram.scheme = SchemeKind::Ring;
-            },
-            [&] {
-                return makeGenerator(profileByName(g.profile), 0.02);
-            });
+        const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));
         if (captureMode()) {
             printRow(g.profile, r);
             continue;
@@ -154,15 +148,14 @@ TEST(RingGolden, PolicyRunsOnBothSchemesWithSameWalkTraffic)
     // match is the demand-side traffic the trace dictates - the
     // position-map walk count - and the policy must be demonstrably
     // live (nonzero merges) under both schemes.
-    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
-    const auto run = [&](SchemeKind kind) {
-        return exp.runWith(
-            MemScheme::OramDynamic,
-            [kind](SystemConfig &cfg) { cfg.oram.scheme = kind; },
-            [&] { return makeGenerator(profileByName("cholesky"), 0.02); });
+    const Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    const auto runOn = [&](SchemeKind kind) {
+        Cell c = exp.cell(MemScheme::OramDynamic, profileByName("cholesky"));
+        c.config.oram.scheme = kind;
+        return run(c);
     };
-    const SimResult path = run(SchemeKind::Path);
-    const SimResult ring = run(SchemeKind::Ring);
+    const SimResult path = runOn(SchemeKind::Path);
+    const SimResult ring = runOn(SchemeKind::Ring);
     EXPECT_EQ(ring.posMapAccesses, path.posMapAccesses);
     EXPECT_GT(ring.merges, 0u);
     EXPECT_GT(path.merges, 0u);
@@ -200,16 +193,10 @@ const RingPeriodicGolden kRingPeriodicGoldens[] = {
 TEST(RingGolden, PeriodicModeMatchesCapture)
 {
     Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    exp.baseConfig().oram.scheme = SchemeKind::Ring;
+    exp.baseConfig().controller.periodic.enabled = true;
     for (const RingPeriodicGolden &g : kRingPeriodicGoldens) {
-        const SimResult r = exp.runWith(
-            g.scheme,
-            [](SystemConfig &cfg) {
-                cfg.oram.scheme = SchemeKind::Ring;
-                cfg.controller.periodic.enabled = true;
-            },
-            [&] {
-                return makeGenerator(profileByName(g.profile), 0.02);
-            });
+        const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));
         if (captureMode()) {
             printRow(g.profile, r, r.periodicDummies);
             continue;
@@ -234,16 +221,10 @@ TEST(RingGolden, AuditedRunMatchesUnauditedGolden)
     // (System panics on audit failure, including the Ring-only
     // ring-eviction-schedule check).
     Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    exp.baseConfig().oram.scheme = SchemeKind::Ring;
+    exp.baseConfig().audit.enabled = true;
     const RingGolden &g = kRingGoldens[2]; // cholesky / OramDynamic
-    const SimResult r = exp.runWith(
-        g.scheme,
-        [](SystemConfig &cfg) {
-            cfg.oram.scheme = SchemeKind::Ring;
-            cfg.audit.enabled = true;
-        },
-        [&] {
-            return makeGenerator(profileByName(g.profile), 0.02);
-        });
+    const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));
     if (captureMode()) {
         printRow(g.profile, r);
         return;

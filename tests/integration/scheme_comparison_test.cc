@@ -11,7 +11,7 @@ namespace proram
 namespace
 {
 
-std::unique_ptr<TraceGenerator>
+SyntheticConfig
 synth(double locality, std::uint64_t phase = 0,
       std::uint32_t compute = 4)
 {
@@ -24,26 +24,26 @@ synth(double locality, std::uint64_t phase = 0,
     c.phaseLength = phase;
     c.computeCycles = compute;
     c.seed = 3;
-    return std::make_unique<SyntheticGenerator>(c);
+    return c;
 }
 
-Experiment
-makeExp()
+/** The Table 1 system at Z = @p z running @p s under @p scheme. */
+Cell
+cell(MemScheme scheme, const SyntheticConfig &s, std::uint32_t z = 3)
 {
-    SystemConfig cfg = defaultSystemConfig();
-    return Experiment(cfg, 1.0);
+    Cell c{defaultSystemConfig(), s};
+    c.config.scheme = scheme;
+    c.config.oram.z = z;
+    return c;
 }
 
 TEST(SchemeComparison, DynamicNeverLosesToBaseline)
 {
     // Fig. 6a's key claim: dyn >= oram at every locality level
     // (allow sub-1% noise).
-    Experiment exp = makeExp();
     for (double f : {0.0, 0.5, 1.0}) {
-        const auto oram = exp.runGenerator(MemScheme::OramBaseline,
-                                           [&] { return synth(f); });
-        const auto dyn = exp.runGenerator(MemScheme::OramDynamic,
-                                          [&] { return synth(f); });
+        const auto oram = run(cell(MemScheme::OramBaseline, synth(f)));
+        const auto dyn = run(cell(MemScheme::OramDynamic, synth(f)));
         EXPECT_GT(metrics::speedup(oram, dyn), -0.01)
             << "locality " << f;
     }
@@ -51,11 +51,8 @@ TEST(SchemeComparison, DynamicNeverLosesToBaseline)
 
 TEST(SchemeComparison, StaticLosesWithoutLocality)
 {
-    Experiment exp = makeExp();
-    const auto oram = exp.runGenerator(MemScheme::OramBaseline,
-                                       [&] { return synth(0.0); });
-    const auto stat = exp.runGenerator(MemScheme::OramStatic,
-                                       [&] { return synth(0.0); });
+    const auto oram = run(cell(MemScheme::OramBaseline, synth(0.0)));
+    const auto stat = run(cell(MemScheme::OramStatic, synth(0.0)));
     EXPECT_LT(metrics::speedup(oram, stat), 0.0)
         << "static super blocks must hurt at zero locality "
            "(Sec. 3.3.2)";
@@ -66,14 +63,9 @@ TEST(SchemeComparison, BothSchemesWinWithFullLocality)
     // Fig. 6a runs the synthetic benchmark at Z=4 (Sec. 5.3), which
     // relaxes tree utilization so the static scheme is not throttled
     // by background eviction.
-    Experiment exp = makeExp();
-    exp.baseConfig().oram.z = 4;
-    const auto oram = exp.runGenerator(MemScheme::OramBaseline,
-                                       [&] { return synth(1.0); });
-    const auto stat = exp.runGenerator(MemScheme::OramStatic,
-                                       [&] { return synth(1.0); });
-    const auto dyn = exp.runGenerator(MemScheme::OramDynamic,
-                                      [&] { return synth(1.0); });
+    const auto oram = run(cell(MemScheme::OramBaseline, synth(1.0), 4));
+    const auto stat = run(cell(MemScheme::OramStatic, synth(1.0), 4));
+    const auto dyn = run(cell(MemScheme::OramDynamic, synth(1.0), 4));
     EXPECT_GT(metrics::speedup(oram, stat), 0.05);
     EXPECT_GT(metrics::speedup(oram, dyn), 0.05);
 }
@@ -81,12 +73,8 @@ TEST(SchemeComparison, BothSchemesWinWithFullLocality)
 TEST(SchemeComparison, DynamicReducesMemoryAccessesWithLocality)
 {
     // The energy proxy of Fig. 8: fewer ORAM accesses than baseline.
-    Experiment exp = makeExp();
-    exp.baseConfig().oram.z = 4;
-    const auto oram = exp.runGenerator(MemScheme::OramBaseline,
-                                       [&] { return synth(1.0); });
-    const auto dyn = exp.runGenerator(MemScheme::OramDynamic,
-                                      [&] { return synth(1.0); });
+    const auto oram = run(cell(MemScheme::OramBaseline, synth(1.0), 4));
+    const auto dyn = run(cell(MemScheme::OramDynamic, synth(1.0), 4));
     EXPECT_LT(metrics::normMemAccesses(oram, dyn), 0.95);
 }
 
@@ -94,35 +82,25 @@ TEST(SchemeComparison, BreakingHelpsPhaseChange)
 {
     // Fig. 6b: with phase changes, adaptive breaking (am_ab) beats
     // no-breaking (am_nb) in ORAM accesses or time.
-    Experiment exp = makeExp();
-    auto gen = [&] { return synth(0.5, /*phase=*/6000); };
-    const auto no_break = exp.runWith(
-        MemScheme::OramDynamic,
-        [](SystemConfig &c) {
-            c.dynamic.breakMode = DynamicPolicyConfig::BreakMode::None;
-        },
-        gen);
-    const auto with_break = exp.runWith(
-        MemScheme::OramDynamic,
-        [](SystemConfig &c) {
-            c.dynamic.breakMode =
-                DynamicPolicyConfig::BreakMode::Adaptive;
-        },
-        gen);
-    EXPECT_GT(with_break.breaks, 0u);
-    EXPECT_LE(with_break.prefetchMissRate(),
-              no_break.prefetchMissRate() + 0.02);
+    Cell no_break = cell(MemScheme::OramDynamic, synth(0.5, /*phase=*/6000));
+    no_break.config.dynamic.breakMode = DynamicPolicyConfig::BreakMode::None;
+    Cell with_break = no_break;
+    with_break.config.dynamic.breakMode =
+        DynamicPolicyConfig::BreakMode::Adaptive;
+    const auto nb = run(no_break);
+    const auto wb = run(with_break);
+    EXPECT_GT(wb.breaks, 0u);
+    EXPECT_LE(wb.prefetchMissRate(), nb.prefetchMissRate() + 0.02);
 }
 
 TEST(SchemeComparison, TraditionalPrefetchHelpsDramHurtsOram)
 {
     // Fig. 5: sequential-heavy workload with compute gaps.
-    Experiment exp = makeExp();
-    auto gen = [&] { return synth(0.9, 0, 40); };
-    const auto dram = exp.runGenerator(MemScheme::Dram, gen);
-    const auto dram_pre = exp.runGenerator(MemScheme::DramPrefetch, gen);
-    const auto oram = exp.runGenerator(MemScheme::OramBaseline, gen);
-    const auto oram_pre = exp.runGenerator(MemScheme::OramPrefetch, gen);
+    const SyntheticConfig s = synth(0.9, 0, 40);
+    const auto dram = run(cell(MemScheme::Dram, s));
+    const auto dram_pre = run(cell(MemScheme::DramPrefetch, s));
+    const auto oram = run(cell(MemScheme::OramBaseline, s));
+    const auto oram_pre = run(cell(MemScheme::OramPrefetch, s));
     EXPECT_GT(metrics::speedup(dram, dram_pre), 0.0)
         << "prefetching must help on DRAM";
     EXPECT_LT(metrics::speedup(oram, oram_pre),
@@ -132,48 +110,39 @@ TEST(SchemeComparison, TraditionalPrefetchHelpsDramHurtsOram)
 
 TEST(SchemeComparison, LowerBandwidthHurtsEveryOramScheme)
 {
-    Experiment exp = makeExp();
-    auto gen = [&] { return synth(0.8); };
     for (MemScheme s : {MemScheme::OramBaseline, MemScheme::OramStatic,
                         MemScheme::OramDynamic}) {
-        const auto fast = exp.runGenerator(s, gen);
-        const auto slow = exp.runWith(
-            s, [](SystemConfig &c) { c.setDramBandwidthGBs(4.0); },
-            gen);
-        EXPECT_GT(slow.cycles, fast.cycles) << schemeName(s);
+        const Cell fast = cell(s, synth(0.8));
+        Cell slow = fast;
+        slow.config.setDramBandwidthGBs(4.0);
+        EXPECT_GT(run(slow).cycles, run(fast).cycles) << schemeName(s);
     }
 }
 
 TEST(SchemeComparison, LargerStashHelpsSuperBlockSchemes)
 {
-    Experiment exp = makeExp();
-    auto gen = [&] { return synth(1.0); };
-    const auto small = exp.runWith(
-        MemScheme::OramStatic,
-        [](SystemConfig &c) { c.oram.stashCapacity = 25; }, gen);
-    const auto large = exp.runWith(
-        MemScheme::OramStatic,
-        [](SystemConfig &c) { c.oram.stashCapacity = 400; }, gen);
-    EXPECT_LT(large.bgEvictions, small.bgEvictions);
-    EXPECT_LE(large.cycles, small.cycles);
+    Cell small = cell(MemScheme::OramStatic, synth(1.0));
+    small.config.oram.stashCapacity = 25;
+    Cell large = small;
+    large.config.oram.stashCapacity = 400;
+    const auto s = run(small);
+    const auto l = run(large);
+    EXPECT_LT(l.bgEvictions, s.bgEvictions);
+    EXPECT_LE(l.cycles, s.cycles);
 }
 
 TEST(SchemeComparison, PeriodicAccessesCostLittle)
 {
     // Sec. 5.6: with a small Oint, adding periodicity degrades
     // performance only mildly.
-    Experiment exp = makeExp();
-    auto gen = [&] { return synth(0.7); };
-    const auto plain = exp.runGenerator(MemScheme::OramDynamic, gen);
-    const auto periodic = exp.runWith(
-        MemScheme::OramDynamic,
-        [](SystemConfig &c) {
-            c.controller.periodic.enabled = true;
-            c.controller.periodic.oInt = Cycles{100};
-        },
-        gen);
-    EXPECT_LT(metrics::normCompletionTime(plain, periodic), 1.25);
-    EXPECT_GE(metrics::normCompletionTime(plain, periodic), 1.0);
+    const Cell plain = cell(MemScheme::OramDynamic, synth(0.7));
+    Cell periodic = plain;
+    periodic.config.controller.periodic.enabled = true;
+    periodic.config.controller.periodic.oInt = Cycles{100};
+    const double slowdown =
+        metrics::normCompletionTime(run(plain), run(periodic));
+    EXPECT_LT(slowdown, 1.25);
+    EXPECT_GE(slowdown, 1.0);
 }
 
 } // namespace

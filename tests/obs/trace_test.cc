@@ -181,10 +181,9 @@ TEST_F(TraceSinkTest, TracedRunCoversEveryInstrumentedLayer)
     // oram, evict, dummy, policy).
     SystemConfig periodic_cfg = defaultSystemConfig();
     periodic_cfg.controller.periodic.enabled = true;
-    Experiment exp(periodic_cfg, /*trace_scale=*/0.02);
-    exp.runBenchmark(MemScheme::Dram, profileByName("cholesky"));
-    exp.runBenchmark(MemScheme::OramDynamic,
-                     profileByName("cholesky"));
+    const Experiment exp(periodic_cfg, /*trace_scale=*/0.02);
+    run(exp.cell(MemScheme::Dram, profileByName("cholesky")));
+    run(exp.cell(MemScheme::OramDynamic, profileByName("cholesky")));
     TraceSink::setEnabled(false);
 
     std::set<std::string> cats;

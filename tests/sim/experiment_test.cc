@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "trace/trace_file.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -57,34 +64,30 @@ TEST(Experiment, Mean)
 
 TEST(Experiment, RunBenchmarkProducesResults)
 {
-    SystemConfig cfg = defaultSystemConfig();
-    Experiment exp(cfg, 0.02);
-    const auto res = exp.runBenchmark(MemScheme::OramBaseline,
-                                      profileByName("fft"));
+    const Experiment exp(defaultSystemConfig(), 0.02);
+    const auto res =
+        run(exp.cell(MemScheme::OramBaseline, profileByName("fft")));
     EXPECT_GT(res.cycles, Cycles{0});
     EXPECT_EQ(res.scheme, "oram");
 }
 
 TEST(Experiment, RunWithAppliesTweaks)
 {
-    SystemConfig cfg = defaultSystemConfig();
-    Experiment exp(cfg, 0.02);
-    const auto &prof = profileByName("fft");
-    const auto base = exp.runBenchmark(MemScheme::OramBaseline, prof);
-    const auto slow = exp.runWith(
-        MemScheme::OramBaseline,
-        [](SystemConfig &c) { c.setDramBandwidthGBs(4.0); },
-        [&] { return makeGenerator(prof, 0.02); });
-    EXPECT_GT(slow.cycles, base.cycles);
+    const Experiment exp(defaultSystemConfig(), 0.02);
+    const Cell base =
+        exp.cell(MemScheme::OramBaseline, profileByName("fft"));
+    Cell slow = base;
+    slow.config.setDramBandwidthGBs(4.0);
+    EXPECT_GT(run(slow).cycles, run(base).cycles);
 }
 
 TEST(Experiment, FreshSystemsPerRun)
 {
-    SystemConfig cfg = defaultSystemConfig();
-    Experiment exp(cfg, 0.02);
-    const auto &prof = profileByName("raytrace");
-    const auto a = exp.runBenchmark(MemScheme::OramDynamic, prof);
-    const auto b = exp.runBenchmark(MemScheme::OramDynamic, prof);
+    const Experiment exp(defaultSystemConfig(), 0.02);
+    const Cell cell =
+        exp.cell(MemScheme::OramDynamic, profileByName("raytrace"));
+    const auto a = run(cell);
+    const auto b = run(cell);
     EXPECT_EQ(a.cycles, b.cycles) << "state leaked between runs";
 }
 
@@ -93,14 +96,13 @@ TEST(Experiment, TraceAddressBeyondOramCapacityIsFatal)
     // A trace can name any address: one past the ORAM's data blocks
     // is bad input (SimFatal), not a simulator bug (SimPanic).
     SystemConfig cfg = defaultSystemConfig();
-    Experiment exp(cfg, 0.02);
     const Addr past = cfg.oram.numDataBlocks * cfg.oram.blockBytes;
-    const std::vector<TraceRecord> records = {
+    ReplayGenerator gen({
         {0, 0x1000, OpType::Read},
         {5, past, OpType::Read},
-    };
-    EXPECT_THROW(exp.runReplay(MemScheme::OramBaseline, records),
-                 SimFatal);
+    });
+    System system(cfg);
+    EXPECT_THROW(system.run(gen), SimFatal);
 }
 
 TEST(Experiment, RejectsBadScale)
@@ -122,6 +124,88 @@ TEST(Experiment, BenchScaleFromEnvParsesStrictly)
         EXPECT_THROW(benchScaleFromEnv(), SimFatal);
     }
     ::unsetenv("PRORAM_BENCH_SCALE");
+}
+
+/** Three cheap, pairwise different cells. */
+std::vector<Cell>
+threeCells()
+{
+    const Experiment exp(defaultSystemConfig(), 0.01);
+    return {exp.cell(MemScheme::Dram, profileByName("fft")),
+            exp.cell(MemScheme::OramBaseline, profileByName("fft")),
+            exp.cell(MemScheme::Dram, profileByName("radix"))};
+}
+
+TEST(CellReplay, RepeatedCellIsSimulatedOnce)
+{
+    const std::vector<Cell> c = threeCells();
+    CellReplay replay;
+    for (const Cell *cell : {&c[0], &c[1], &c[0], &c[0]}) {
+        // The recording placeholder must pass the metrics helpers.
+        const SimResult &r = replay.ask(*cell);
+        EXPECT_DOUBLE_EQ(metrics::speedup(r, r), 0.0);
+        EXPECT_DOUBLE_EQ(metrics::normMemAccesses(r, r), 1.0);
+    }
+    EXPECT_EQ(replay.asked(), 4u);
+    EXPECT_EQ(replay.distinct(), 2u);
+
+    // Every simulated cell writes one metrics line.
+    const std::string metrics_file =
+        ::testing::TempDir() + "cell_replay.metrics.jsonl";
+    std::remove(metrics_file.c_str());
+    ::setenv("PRORAM_METRICS_FILE", metrics_file.c_str(), 1);
+    replay.simulate(2);
+    ::unsetenv("PRORAM_METRICS_FILE");
+    std::ifstream in(metrics_file);
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(in, line))
+        ++lines;
+    EXPECT_EQ(lines, 2u);
+    std::remove(metrics_file.c_str());
+}
+
+TEST(CellReplay, AnswersComeBackInAskOrder)
+{
+    const std::vector<Cell> c = threeCells();
+    const std::vector<const Cell *> asks = {&c[2], &c[0], &c[1], &c[0],
+                                            &c[2]};
+    CellReplay replay;
+    for (const Cell *cell : asks)
+        replay.ask(*cell);
+    replay.simulate(3);
+    for (const Cell *cell : asks) {
+        const SimResult want = run(*cell);
+        const SimResult &got = replay.ask(*cell);
+        EXPECT_EQ(got.scheme, want.scheme);
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(got.memAccesses, want.memAccesses);
+    }
+}
+
+TEST(CellReplay, DifferentCellOnReplayPanics)
+{
+    const std::vector<Cell> c = threeCells();
+    CellReplay replay;
+    replay.ask(c[0]);
+    replay.ask(c[1]);
+    replay.simulate(1);
+    replay.ask(c[0]);
+    EXPECT_THROW(replay.ask(c[2]), SimPanic);
+
+    // A config field the cell's scheme never reads still makes it
+    // another cell.
+    CellReplay strict;
+    strict.ask(c[0]);
+    strict.simulate(1);
+    Cell other = c[0];
+    other.config.dynamic.cMerge = 2.0;
+    EXPECT_THROW(strict.ask(other), SimPanic);
+
+    // So does an ask past the end of the recording.
+    CellReplay empty;
+    empty.simulate(1);
+    EXPECT_THROW(empty.ask(c[0]), SimPanic);
 }
 
 } // namespace
