@@ -194,8 +194,10 @@ fig05(Page &p)
 
         dram_gain.push_back(metrics::speedup(dram, dram_pre));
         oram_gain.push_back(metrics::speedup(oram, oram_pre));
-        t.row().add(name).addPct(dram_gain.back()).addPct(
-            oram_gain.back());
+        t.row()
+            .add(name)
+            .addPct(dram_gain.back())
+            .addPct(oram_gain.back());
     }
     t.row().add("avg").addPct(mean(dram_gain)).addPct(mean(oram_gain));
     p.table(t);
