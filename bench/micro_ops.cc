@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "core/oram_controller.hh"
@@ -45,33 +46,147 @@ microHier()
     return h;
 }
 
+/**
+ * A tree held at a set stash occupancy by the controller's own two
+ * mechanisms: remapping accesses to static pairs (Sec. 3.3), which
+ * alone would fill the stash past capacity, and background evictions
+ * whenever the stash holds more than @p target blocks between
+ * accesses. BM_PathReadWrite times the first and BM_BackgroundEviction
+ * the second, each running the other untimed to keep the occupancy;
+ * targets of 10 and 90 blocks bracket the figure cells, whose
+ * path-weighted mean stash is 43.7 blocks.
+ */
+class SteadyStash
+{
+  public:
+    explicit SteadyStash(std::uint32_t target)
+        : oram_(microCfg()), engine_(oram_.engine()), target_(target)
+    {
+        oram_.initialize(2);
+        for (int i = 0; i < 20000; ++i) {
+            remapAccess();
+            settle();
+        }
+    }
+
+    /** Read a random pair's path, remap the pair to one fresh leaf
+     *  and write the path back; @return the blocks the read brought
+     *  into the stash. */
+    std::size_t remapAccess()
+    {
+        const std::uint64_t pairs = oram_.space().numDataBlocks() / 2;
+        const BlockId base{rng_.below(pairs) * 2};
+        const Leaf leaf = oram_.posMap().leafOf(base);
+        const std::size_t before = engine_.stash().size();
+        engine_.readPath(leaf);
+        const std::size_t read = engine_.stash().size() - before;
+        const Leaf fresh = engine_.randomLeaf();
+        oram_.posMap().setLeaf(base, fresh);
+        oram_.posMap().setLeaf(base + 1, fresh);
+        engine_.writePath(leaf);
+        return read;
+    }
+
+    // Both loops stop after 64 accesses, the controller's default
+    // background-eviction budget, so a scheme that cannot reach the
+    // target still ends; the stashBlocks counter then shows it.
+
+    /** Background evictions until the stash is back at the target. */
+    void settle()
+    {
+        for (int i = 0; i < 64 && engine_.stash().size() > target_; ++i)
+            engine_.dummyAccess();
+    }
+
+    /** Remapping accesses until the stash is over the target. */
+    void refill()
+    {
+        for (int i = 0; i < 64 && engine_.stash().size() <= target_; ++i)
+            remapAccess();
+    }
+
+    OramScheme &engine() { return engine_; }
+
+    /** Real blocks on path @p leaf. */
+    std::size_t pathBlocks(Leaf leaf) const
+    {
+        const BinaryTree &tree = engine_.tree();
+        std::size_t n = 0;
+        for (std::uint32_t l = 0; l <= tree.levels(); ++l)
+            n += tree.occupancy(tree.nodeOnPath(leaf, Level{l}));
+        return n;
+    }
+
+  private:
+    UnifiedOram oram_;
+    OramScheme &engine_;
+    std::uint32_t target_;
+    Rng rng_{1};
+};
+
+/** Per-access means the two path rows report as counters. */
+struct PathMix
+{
+    double stash = 0;    ///< stash blocks before the access
+    double realRead = 0; ///< real blocks the access read from its path
+
+    void report(benchmark::State &state) const
+    {
+        const double n = static_cast<double>(state.iterations());
+        state.counters["stashBlocks"] = stash / n;
+        state.counters["realPerPath"] = realRead / n;
+        state.counters["stashPerEviction"] = (stash + realRead) / n;
+    }
+};
+
+using Clock = std::chrono::steady_clock;
+
+double
+seconds(Clock::duration d)
+{
+    return std::chrono::duration<double>(d).count();
+}
+
 void
 BM_PathReadWrite(benchmark::State &state)
 {
-    UnifiedOram oram(microCfg());
-    oram.initialize();
-    OramScheme &engine = oram.engine();
-    Rng rng(1);
+    SteadyStash steady(static_cast<std::uint32_t>(state.range(0)));
+    PathMix mix;
     for (auto _ : state) {
-        const Leaf leaf = engine.randomLeaf();
-        engine.readPath(leaf);
-        engine.writePath(leaf);
-        benchmark::DoNotOptimize(engine.stash().size());
+        mix.stash += static_cast<double>(steady.engine().stash().size());
+        const Clock::time_point t0 = Clock::now();
+        const std::size_t read = steady.remapAccess();
+        state.SetIterationTime(seconds(Clock::now() - t0));
+        mix.realRead += static_cast<double>(read);
+        steady.settle();
     }
     state.SetItemsProcessed(state.iterations());
+    mix.report(state);
 }
-BENCHMARK(BM_PathReadWrite);
+BENCHMARK(BM_PathReadWrite)->Arg(10)->Arg(90)->UseManualTime();
 
 void
 BM_BackgroundEviction(benchmark::State &state)
 {
-    UnifiedOram oram(microCfg());
-    oram.initialize();
-    for (auto _ : state)
-        oram.engine().dummyAccess();
+    SteadyStash steady(static_cast<std::uint32_t>(state.range(0)));
+    const Stash &stash = steady.engine().stash();
+    PathMix mix;
+    for (auto _ : state) {
+        steady.refill();
+        const std::size_t before = stash.size();
+        const Clock::time_point t0 = Clock::now();
+        const Leaf leaf = steady.engine().dummyAccess();
+        state.SetIterationTime(seconds(Clock::now() - t0));
+        // The eviction wrote back what it read plus what it took from
+        // the stash.
+        mix.stash += static_cast<double>(before);
+        mix.realRead += static_cast<double>(steady.pathBlocks(leaf)) -
+                        static_cast<double>(before - stash.size());
+    }
     state.SetItemsProcessed(state.iterations());
+    mix.report(state);
 }
-BENCHMARK(BM_BackgroundEviction);
+BENCHMARK(BM_BackgroundEviction)->Arg(10)->Arg(90)->UseManualTime();
 
 void
 BM_PosMapWalk(benchmark::State &state)

@@ -62,7 +62,6 @@ class DynamicSuperBlockPolicy : public SuperBlockPolicy
     AccessDecision onDataAccess(BlockId requested,
                                 bool is_writeback) override;
     void onEpoch(double eviction_rate, double access_rate) override;
-    const char *name() const override { return "dyn"; }
 
     const DynamicPolicyConfig &config() const { return cfg_; }
 

@@ -18,10 +18,6 @@ OramController::OramController(const OramConfig &oram_cfg,
       oram_(oram_cfg),
       scheduler_(ctl_cfg.periodic, oram_cfg.pathAccessCycles())
 {
-    if (ctl_cfg.traditionalPrefetcher) {
-        prefetcher_ =
-            std::make_unique<StreamPrefetcher>(ctl_cfg.prefetcher);
-    }
 }
 
 void
@@ -29,6 +25,13 @@ OramController::configureBaseline()
 {
     policy_ = std::make_unique<BaselinePolicy>(oram_, *this);
     oram_.initialize(1);
+}
+
+void
+OramController::configurePrefetch()
+{
+    configureBaseline();
+    prefetcher_ = std::make_unique<StreamPrefetcher>(ctlCfg_.prefetcher);
 }
 
 void
@@ -128,8 +131,7 @@ OramController::performAccess(BlockId block, bool is_writeback,
     //    displace dirty lines are dropped by the hierarchy (a
     //    prefetch must not force write-backs); undo their marking.
     for (BlockId p : decision.prefetches) {
-        BlockId clean_victim = kInvalidBlock;
-        if (!hierarchy_.insertPrefetch(p, &clean_victim))
+        if (!hierarchy_.insertPrefetch(p))
             policy_->onPrefetchDropped(p);
     }
 
@@ -190,15 +192,18 @@ OramController::drainPeriodicDummies(Cycles now)
 }
 
 Cycles
-OramController::serveRequest(Cycles now, BlockId block, bool is_writeback,
+OramController::serveRequest(Cycles now, BlockId block, RequestKind kind,
                              OpType op, const std::uint64_t *write_data,
                              std::uint64_t *read_out)
 {
     drainPeriodicDummies(now);
 
     const std::uint64_t paths =
-        performAccess(block, is_writeback, op, write_data, read_out);
-    ++(is_writeback ? stats_.writebacks : stats_.realRequests);
+        performAccess(block, kind == RequestKind::Writeback, op,
+                      write_data, read_out);
+    ++(kind == RequestKind::Demand      ? stats_.realRequests
+       : kind == RequestKind::Writeback ? stats_.writebacks
+                                        : stats_.traditionalPrefetches);
     stats_.pathAccesses += paths;
 
     const PeriodicGrant grant = scheduler_.schedule(now, paths);
@@ -220,7 +225,7 @@ OramController::dataAccess(Cycles now, BlockId block, OpType op,
     // The traditional prefetcher (Fig. 5) trains in onDemandTouch,
     // which the core calls exactly once per demand access (cache hit
     // or miss-return); training here too would double-observe misses.
-    return serveRequest(now, block, false, op,
+    return serveRequest(now, block, RequestKind::Demand, op,
                         op == OpType::Write ? &write_data : nullptr,
                         read_out);
 }
@@ -237,7 +242,8 @@ OramController::writebackAccess(Cycles now, BlockId block)
     // Timing-only write-back: remap the super block, preserve payload
     // (the trace CPU carries no data).
     PRORAM_TRACE_SCOPE_ARG("controller", "writeback", "block", block);
-    serveRequest(now, block, true, OpType::Write, nullptr, nullptr);
+    serveRequest(now, block, RequestKind::Writeback, OpType::Write,
+                 nullptr, nullptr);
 }
 
 Cycles
@@ -246,7 +252,8 @@ OramController::writebackWithData(Cycles now, BlockId block,
 {
     PRORAM_TRACE_SCOPE_ARG("controller", "writebackData", "block",
                            block);
-    return serveRequest(now, block, true, OpType::Write, &data, nullptr);
+    return serveRequest(now, block, RequestKind::Writeback,
+                        OpType::Write, &data, nullptr);
 }
 
 void
@@ -255,30 +262,19 @@ OramController::onDemandTouch(Cycles now, BlockId block)
     policy_->onDemandTouch(block);
 
     // A demand hit on a traditionally-prefetched line keeps its
-    // stream alive (Fig. 5 experiment).
-    if (prefetcher_) {
-        Cycles t = std::max(now, busyUntil_);
-        for (BlockId cand : prefetcher_->observe(block)) {
-            if (cand.value() >= oram_.space().numDataBlocks() ||
-                hierarchy_.probeLlc(cand)) {
-                continue;
-            }
-            PRORAM_TRACE_EVENT("controller", "streamPrefetch",
-                               "block", cand);
-            std::uint64_t p =
-                performAccess(cand, false, OpType::Read, nullptr,
-                              nullptr);
-            stats_.pathAccesses += p;
-            ++stats_.traditionalPrefetches;
-            BlockId clean_victim = kInvalidBlock;
-            hierarchy_.insertPrefetch(cand, &clean_victim);
-            const PeriodicGrant g = scheduler_.schedule(t, p);
-            if (auditor_)
-                auditor_->onGrant(g.start, p);
-            epochBusy_ += g.completion - g.start;
-            busyUntil_ = g.completion;
-            t = g.completion;
+    // stream alive (Fig. 5 experiment). Each prefetch is an ordinary
+    // ORAM request that queues behind the ones before it.
+    if (!prefetcher_)
+        return;
+    for (BlockId cand : prefetcher_->observe(block)) {
+        if (cand.value() >= oram_.space().numDataBlocks() ||
+            hierarchy_.probeLlc(cand)) {
+            continue;
         }
+        PRORAM_TRACE_EVENT("controller", "streamPrefetch", "block", cand);
+        serveRequest(now, cand, RequestKind::Prefetch, OpType::Read,
+                     nullptr, nullptr);
+        hierarchy_.insertPrefetch(cand);
     }
 }
 

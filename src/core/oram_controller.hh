@@ -24,7 +24,12 @@
 namespace proram
 {
 
-/** Controller configuration beyond the OramConfig geometry. */
+/**
+ * Controller configuration beyond the OramConfig geometry. What runs
+ * is not set here: the OramController::configure*() call picks the
+ * policy and whether a stream prefetcher runs, and System makes that
+ * call from the MemScheme alone.
+ */
 struct ControllerConfig
 {
     PeriodicConfig periodic{};
@@ -39,14 +44,8 @@ struct ControllerConfig
      * still fully visible through the dummy-access count (Fig. 7).
      */
     std::uint64_t maxBgEvictionsPerRequest = 64;
-    /**
-     * Attach a traditional stream prefetcher in front of the ORAM
-     * (the Fig. 5 negative result), issuing full ORAM accesses for
-     * predicted blocks. System sets it from the scheme (on for
-     * oram_pre only); SystemConfig::validate rejects it set under any
-     * other scheme.
-     */
-    bool traditionalPrefetcher = false;
+    /** Stream-prefetcher geometry; used only after
+     *  OramController::configurePrefetch() (Fig. 5's oram_pre). */
     PrefetcherConfig prefetcher{};
 
     bool operator==(const ControllerConfig &) const = default;
@@ -78,6 +77,10 @@ class OramController : public MemBackend, public LlcProbe
 
     /** Choose the scheme, then initialize the ORAM contents. */
     void configureBaseline();
+    /** The baseline policy plus a traditional stream prefetcher in
+     *  front of the ORAM (Fig. 5's oram_pre): each predicted block is
+     *  fetched by a full ORAM access. */
+    void configurePrefetch();
     void configureStatic(std::uint32_t sb_size);
     void configureDynamic(const DynamicPolicyConfig &cfg);
 
@@ -144,6 +147,14 @@ class OramController : public MemBackend, public LlcProbe
     Cycles busyUntil() const { return busyUntil_; }
 
   private:
+    /** Why an ORAM access is made; picks the counter it bills. */
+    enum class RequestKind : std::uint8_t
+    {
+        Demand,    ///< an LLC miss (or a SecureMemory read/write)
+        Writeback, ///< a dirty LLC victim
+        Prefetch,  ///< a traditional stream prefetch (oram_pre)
+    };
+
     /**
      * The functional part of one logical ORAM access (pos-map walk +
      * super-block path access + policy + background eviction).
@@ -157,13 +168,14 @@ class OramController : public MemBackend, public LlcProbe
                                 std::uint64_t *read_out);
 
     /**
-     * One CPU-visible request end to end: run the idle periodic slots
-     * up to @p now, perform the access, count it as a demand request
-     * or a write-back, and account its scheduler grant (auditor,
-     * latency sample, epoch busy time, busyUntil_, epoch roll).
+     * Every ORAM request end to end, whatever its kind: run the idle
+     * periodic slots up to @p now, perform the access, count it
+     * under @p kind, and account its scheduler grant (auditor,
+     * latency sample, epoch busy time, busyUntil_, epoch roll). The
+     * only caller of PeriodicScheduler::schedule.
      * @return the grant's completion cycle.
      */
-    Cycles serveRequest(Cycles now, BlockId block, bool is_writeback,
+    Cycles serveRequest(Cycles now, BlockId block, RequestKind kind,
                         OpType op, const std::uint64_t *write_data,
                         std::uint64_t *read_out);
 

@@ -95,9 +95,6 @@ class SuperBlockPolicy
 
     const PolicyStats &policyStats() const { return stats_; }
 
-    /** Scheme name for reports. */
-    virtual const char *name() const = 0;
-
   protected:
     /** Remap every member of the group to one fresh random leaf. */
     void remapGroup(const std::vector<BlockId> &members);
@@ -127,7 +124,6 @@ class BaselinePolicy : public SuperBlockPolicy
 
     AccessDecision onDataAccess(BlockId requested,
                                 bool is_writeback) override;
-    const char *name() const override { return "oram"; }
 };
 
 } // namespace proram

@@ -20,14 +20,13 @@ StaticSuperBlockPolicy::StaticSuperBlockPolicy(UnifiedOram &oram,
 AccessDecision
 StaticSuperBlockPolicy::onDataAccess(BlockId requested, bool is_writeback)
 {
-    const BlockId base = sbBase(requested, sbSize_);
     // The trailing partial group (if numDataBlocks is not a multiple
     // of sbSize) was initialized as singletons; honour the recorded
     // size rather than assuming sbSize_.
     const std::uint32_t size =
         oram_.posMap().entry(requested).sbSize();
-    const auto members = sbMembers(sbBase(requested, size), size);
-    (void)base;
+    const auto members =
+        sbMembersStrided(sbBaseStrided(requested, size, 0), size, 0);
 
     remapGroup(members);
 

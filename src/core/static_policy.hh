@@ -29,7 +29,6 @@ class StaticSuperBlockPolicy : public SuperBlockPolicy
 
     AccessDecision onDataAccess(BlockId requested,
                                 bool is_writeback) override;
-    const char *name() const override { return "stat"; }
 
     std::uint32_t sbSize() const { return sbSize_; }
 

@@ -12,53 +12,6 @@ namespace proram
 // the core manipulates groups through them.
 
 BlockId
-sbBase(BlockId id, std::uint32_t size)
-{
-    panic_if(!isPowerOf2(size), "super block size must be 2^k");
-    return BlockId{alignDown(id.value(), size)};
-}
-
-BlockId
-sbNeighborBase(BlockId base, std::uint32_t size)
-{
-    panic_if(!isPowerOf2(size), "super block size must be 2^k");
-    panic_if(base.value() % size != 0, "misaligned super block base");
-    return BlockId{base.value() ^ size};
-}
-
-bool
-areNeighbors(BlockId a, BlockId b, std::uint32_t size)
-{
-    if (a.value() % size != 0 || b.value() % size != 0)
-        return false;
-    return (a.value() ^ b.value()) == size;
-}
-
-std::vector<BlockId>
-sbMembers(BlockId base, std::uint32_t size)
-{
-    std::vector<BlockId> out;
-    out.reserve(size);
-    for (std::uint32_t i = 0; i < size; ++i)
-        out.push_back(base + i);
-    return out;
-}
-
-bool
-mergeWithinBounds(BlockId base, std::uint32_t size,
-                  std::uint64_t num_data_blocks,
-                  std::uint32_t pos_map_fanout)
-{
-    const std::uint64_t pair_base =
-        alignDown(base.value(), 2ULL * size);
-    if (pair_base + 2ULL * size > num_data_blocks)
-        return false;
-    // All 2*size mappings must live in one Pos-Map block; since the
-    // pair is 2*size-aligned, it spans one block iff it fits.
-    return 2ULL * size <= pos_map_fanout;
-}
-
-BlockId
 sbBaseStrided(BlockId id, std::uint32_t size, std::uint32_t stride_log)
 {
     panic_if(!isPowerOf2(size), "super block size must be 2^k");

@@ -4,6 +4,14 @@
  * 2^k-sized, address-aligned groups of data blocks; two same-sized
  * groups are *neighbours* iff they merge into the next aligned
  * power-of-two group.
+ *
+ * Every helper takes a stride 2^s (strided super blocks, the paper's
+ * Sec. 6.2 future work). A group of size n = 2^k holds the blocks
+ * agreeing on every address bit except bits [s, s+k): its members
+ * are base + i*2^s. The paper's contiguous super blocks are s = 0.
+ * Because the group lies inside one (n*2^s)-aligned window,
+ * co-residency in a single position-map block is guaranteed whenever
+ * n*2^s <= fanout.
  */
 
 #ifndef PRORAM_CORE_SUPER_BLOCK_HH
@@ -17,47 +25,12 @@
 namespace proram
 {
 
-/** Base (lowest id) of the size-@p size super block containing @p id. */
-BlockId sbBase(BlockId id, std::uint32_t size);
-
-/**
- * Base of the neighbour of the super block at @p base with @p size
- * (Sec. 4.1: the unique same-sized group forming a 2x group with it).
- */
-BlockId sbNeighborBase(BlockId base, std::uint32_t size);
-
-/** @return true if @p a is the neighbour block of @p b at @p size. */
-bool areNeighbors(BlockId a, BlockId b, std::uint32_t size);
-
-/** Member ids of the super block at @p base. */
-std::vector<BlockId> sbMembers(BlockId base, std::uint32_t size);
-
-/**
- * Whether the 2x-sized merged group starting at the pair base would
- * stay inside the data space and inside one position-map block
- * (Sec. 4.1: all members' mappings must share a Pos-Map block).
- */
-bool mergeWithinBounds(BlockId base, std::uint32_t size,
-                       std::uint64_t num_data_blocks,
-                       std::uint32_t pos_map_fanout);
-
-/**
- * @name Strided super blocks (the paper's Sec. 6.2 future work).
- *
- * A strided super block of size n = 2^k with stride 2^s groups the
- * blocks agreeing on every address bit except bits [s, s+k): its
- * members are base + i*2^s. The classic scheme is the s = 0 special
- * case. Because the group lies inside one (n*2^s)-aligned window,
- * co-residency in a single position-map block is guaranteed whenever
- * n*2^s <= fanout.
- * @{
- */
-
 /** Base (member with zeroed [s, s+k) bits) of @p id's group. */
 BlockId sbBaseStrided(BlockId id, std::uint32_t size,
                       std::uint32_t stride_log);
 
-/** Base of the neighbour group (differs in bit s + log2(size)). */
+/** Base of the neighbour group (Sec. 4.1: the unique same-sized
+ *  group forming a 2x group with it; differs in bit s + log2(size)). */
 BlockId sbNeighborBaseStrided(BlockId base, std::uint32_t size,
                               std::uint32_t stride_log);
 
@@ -73,13 +46,15 @@ sbMemberAt(BlockId base, std::uint32_t i, std::uint32_t stride_log)
     return base + (static_cast<std::uint64_t>(i) << stride_log);
 }
 
-/** Bounds/fanout check for merging two size-@p size strided groups. */
+/**
+ * Whether merging two size-@p size groups keeps the 2x group inside
+ * the data space and inside one position-map block (Sec. 4.1: all
+ * members' mappings must share a Pos-Map block).
+ */
 bool mergeWithinBoundsStrided(BlockId base, std::uint32_t size,
                               std::uint32_t stride_log,
                               std::uint64_t num_data_blocks,
                               std::uint32_t pos_map_fanout);
-
-/** @} */
 
 } // namespace proram
 

@@ -35,8 +35,9 @@ class MemBackend
 
     /**
      * Batched write-backs, semantically identical to calling
-     * writebackAccess() once per block in order. Backends override
-     * to retire the batch without per-block virtual dispatch.
+     * writebackAccess() once per block in order. No backend in the
+     * library overrides it; an override would retire the batch
+     * without per-block virtual dispatch.
      */
     virtual void writebackBatch(Cycles now, const BlockId *blocks,
                                 std::size_t n)

@@ -59,10 +59,8 @@ CacheHierarchy::fillFromMemory(BlockId block, bool dirty)
 }
 
 bool
-CacheHierarchy::insertPrefetch(BlockId block, BlockId *clean_victim)
+CacheHierarchy::insertPrefetch(BlockId block)
 {
-    if (clean_victim)
-        *clean_victim = kInvalidBlock;
     if (l2_.probe(block))
         return true; // already resident; nothing to do
 
@@ -75,13 +73,10 @@ CacheHierarchy::insertPrefetch(BlockId block, BlockId *clean_victim)
             return false;
     }
 
-    auto l2_victim = l2_.insert(block, false, /*low_priority=*/true);
-    if (!l2_victim)
-        return true;
-    EvictedLine v = reconcileVictim(*l2_victim);
-    panic_if(v.dirty, "prefetch displaced a dirty line despite check");
-    if (clean_victim)
-        *clean_victim = v.block;
+    if (auto l2_victim = l2_.insert(block, false, /*low_priority=*/true)) {
+        const EvictedLine v = reconcileVictim(*l2_victim);
+        panic_if(v.dirty, "prefetch displaced a dirty line despite check");
+    }
     return true;
 }
 

@@ -59,10 +59,9 @@ class CacheHierarchy
      * insertion is dropped instead (standard prefetch etiquette -
      * displacing dirty data would turn a free prefetch into a full
      * memory write).
-     * @param clean_victim set to the clean line displaced, if any.
      * @return true if the line was installed.
      */
-    bool insertPrefetch(BlockId block, BlockId *clean_victim);
+    bool insertPrefetch(BlockId block);
 
     /** Tag-only residency test against the LLC (merge scheme). */
     bool probeLlc(BlockId block) const;

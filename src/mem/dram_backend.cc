@@ -5,10 +5,10 @@
 namespace proram
 {
 
-DramBackend::DramBackend(const DramBackendConfig &cfg)
+DramBackend::DramBackend(const DramBackendConfig &cfg, bool prefetch)
     : cfg_(cfg), dram_(cfg.dram)
 {
-    if (cfg.prefetch)
+    if (prefetch)
         pf_ = std::make_unique<StreamPrefetcher>(cfg.prefetcher);
 }
 

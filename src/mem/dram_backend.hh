@@ -24,10 +24,8 @@ namespace proram
 struct DramBackendConfig
 {
     DramConfig dram{};
-    /** Run the stream prefetcher. System sets it from the scheme (on
-     *  for dram_pre only); SystemConfig::validate rejects it set under
-     *  any other scheme. */
-    bool prefetch = false;
+    /** Stream-prefetcher geometry; used only by a backend built with
+     *  a prefetcher (dram_pre). */
     PrefetcherConfig prefetcher{};
     /** Prefetch buffer (stream buffer) capacity in lines. */
     std::uint32_t bufferLines = 32;
@@ -39,7 +37,9 @@ struct DramBackendConfig
 class DramBackend : public MemBackend
 {
   public:
-    explicit DramBackend(const DramBackendConfig &cfg);
+    /** @param prefetch run the stream prefetcher and its buffer
+     *  (Fig. 5's dram_pre). */
+    DramBackend(const DramBackendConfig &cfg, bool prefetch);
 
     Cycles demandAccess(Cycles now, BlockId block, OpType op) override;
     void writebackAccess(Cycles now, BlockId block) override;

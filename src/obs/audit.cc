@@ -107,10 +107,8 @@ AuditReport::summary() const
 
 ObliviousnessAuditor::ObliviousnessAuditor(const AuditConfig &cfg,
                                            std::uint64_t num_leaves,
-                                           Cycles period,
-                                           bool check_dummy_fill)
+                                           Cycles period)
     : cfg_(cfg), numLeaves_(num_leaves), period_(period),
-      checkDummyFill_(check_dummy_fill && period > Cycles{0}),
       allBuckets_(cfg.leafBuckets, 0), realBuckets_(cfg.leafBuckets, 0)
 {
     fatal_if(num_leaves == 0, "auditor needs a non-empty tree");
@@ -175,13 +173,13 @@ void
 ObliviousnessAuditor::onGrant(Cycles start, std::uint64_t paths)
 {
     ++grants_;
-    if (period_ > Cycles{0} && start % period_ != Cycles{0})
-        ++timingViolations_;
     if (pathsSinceGrant_ != paths)
         ++accountingViolations_;
-    if (checkDummyFill_ &&
-        start != expectedNextStart_ + dummiesSinceGrant_ * period_) {
-        ++fillViolations_;
+    if (period_ > Cycles{0}) {
+        if (start % period_ != Cycles{0})
+            ++timingViolations_;
+        if (start != expectedNextStart_ + dummiesSinceGrant_ * period_)
+            ++fillViolations_;
     }
     expectedNextStart_ = start + paths * period_;
     pathsSinceGrant_ = 0;
@@ -253,7 +251,7 @@ ObliviousnessAuditor::report() const
     {
         AuditCheck c;
         c.name = "oint-dummy-fill";
-        c.evaluated = checkDummyFill_ && grants_ > 0;
+        c.evaluated = period_ > Cycles{0} && grants_ > 0;
         c.statistic = static_cast<double>(fillViolations_);
         c.threshold = 0.0;
         c.pass = fillViolations_ == 0;

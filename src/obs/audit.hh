@@ -129,17 +129,15 @@ class ObliviousnessAuditor
     /**
      * @param num_leaves leaves of the audited tree
      * @param period periodic-mode slot length in cycles, 0 when
-     *        periodic accesses are disabled (timing checks off)
-     * @param check_dummy_fill require every idle slot to carry a
-     *        dummy access (valid when the controller drains dummies
-     *        before every grant; the traditional-prefetcher path
-     *        schedules without draining, so the System wiring turns
-     *        this off for that scheme)
+     *        periodic accesses are disabled. A non-zero period turns
+     *        on both timing checks: every grant starts on a slot
+     *        boundary, and every idle slot before it carried a dummy
+     *        access (the controller drains idle slots before every
+     *        grant, whatever the scheme and the request kind).
      */
     ObliviousnessAuditor(const AuditConfig &cfg,
                          std::uint64_t num_leaves,
-                         Cycles period = Cycles{0},
-                         bool check_dummy_fill = false);
+                         Cycles period = Cycles{0});
 
     /** Observe one path access (public: leaf + kind + order). */
     void onPath(PathKind kind, Leaf leaf);
@@ -181,7 +179,6 @@ class ObliviousnessAuditor
     AuditConfig cfg_;
     std::uint64_t numLeaves_;
     Cycles period_;
-    bool checkDummyFill_;
 
     std::vector<std::uint64_t> allBuckets_;
     std::vector<std::uint64_t> realBuckets_;

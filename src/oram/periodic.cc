@@ -27,12 +27,8 @@ PeriodicScheduler::schedule(Cycles now, std::uint64_t num_paths)
         return grant;
     }
 
-    // Idle slots before `now` ran dummy accesses.
-    while (nextFree_ < now) {
-        ++dummies_;
-        ++grant.elapsedDummies;
-        nextFree_ += period_;
-    }
+    panic_if(nextFree_ < now, "request at cycle ", now,
+             " scheduled past the undrained idle slot at ", nextFree_);
     grant.start = nextFree_;
     grant.completion =
         grant.start + (num_paths - 1) * period_ + pathCycles_;
@@ -48,7 +44,6 @@ PeriodicScheduler::drainDummies(Cycles now)
     std::uint64_t n = 0;
     while (nextFree_ < now) {
         ++n;
-        ++dummies_;
         nextFree_ += period_;
     }
     return n;

@@ -31,8 +31,6 @@ struct PeriodicGrant
     Cycles start{0};
     /** Cycle the last path access completes (data available). */
     Cycles completion{0};
-    /** Dummy accesses that elapsed while the ORAM sat idle. */
-    std::uint64_t elapsedDummies = 0;
 };
 
 /**
@@ -46,19 +44,21 @@ class PeriodicScheduler
 
     /**
      * Grant @p num_paths back-to-back path accesses to a request
-     * arriving at @p now.
+     * arriving at @p now. In periodic mode the caller must first
+     * drainDummies(@p now), so the request takes the first slot at or
+     * after @p now; scheduling past an undrained slot panics.
      */
     PeriodicGrant schedule(Cycles now, std::uint64_t num_paths);
 
     /**
-     * Count the dummy accesses that would fire in (busy, now] with no
-     * request pending - used at end-of-run to settle the access count.
+     * Count the idle slots before @p now (periodic mode only): each
+     * one is a dummy access the caller must run. The only place that
+     * counts idle slots.
      */
     std::uint64_t drainDummies(Cycles now);
 
     bool enabled() const { return cfg_.enabled; }
     Cycles period() const { return period_; }
-    std::uint64_t totalDummies() const { return dummies_; }
 
   private:
     PeriodicConfig cfg_;
@@ -66,7 +66,6 @@ class PeriodicScheduler
     Cycles period_;
     /** Next slot boundary (periodic) / controller-free time. */
     Cycles nextFree_{0};
-    std::uint64_t dummies_ = 0;
 };
 
 } // namespace proram

@@ -15,22 +15,19 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 
     switch (cfg_.scheme) {
       case MemScheme::Dram:
-      case MemScheme::DramPrefetch: {
-        DramBackendConfig dcfg = cfg_.dram;
-        dcfg.prefetch = cfg_.scheme == MemScheme::DramPrefetch;
-        backend_ = std::make_unique<DramBackend>(dcfg);
+      case MemScheme::DramPrefetch:
+        backend_ = std::make_unique<DramBackend>(
+            cfg_.dram, cfg_.scheme == MemScheme::DramPrefetch);
         break;
-      }
       case MemScheme::OramBaseline:
       case MemScheme::OramPrefetch:
       case MemScheme::OramStatic:
       case MemScheme::OramDynamic: {
-        ControllerConfig ccfg = cfg_.controller;
-        ccfg.traditionalPrefetcher =
-            cfg_.scheme == MemScheme::OramPrefetch;
-        auto ctl = std::make_unique<OramController>(cfg_.oram, ccfg,
-                                                    *hierarchy_);
-        if (cfg_.scheme == MemScheme::OramStatic)
+        auto ctl = std::make_unique<OramController>(
+            cfg_.oram, cfg_.controller, *hierarchy_);
+        if (cfg_.scheme == MemScheme::OramPrefetch)
+            ctl->configurePrefetch();
+        else if (cfg_.scheme == MemScheme::OramStatic)
             ctl->configureStatic(cfg_.staticSbSize);
         else if (cfg_.scheme == MemScheme::OramDynamic)
             ctl->configureDynamic(cfg_.dynamic);
@@ -45,16 +42,9 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     if (controller_ && (cfg_.audit.enabled || env::flag("PRORAM_AUDIT"))) {
         const PeriodicScheduler &sched = controller_->scheduler();
         const std::uint64_t num_leaves = 1ULL << cfg_.oram.levels();
-        // The dummy-fill identity (grant start = previous horizon +
-        // drained dummies * period) holds because every scheduled
-        // request drains idle slots first. The traditional
-        // prefetcher schedules its prefetch accesses without a
-        // drain, so the check is gated off for that scheme.
-        const bool check_fill =
-            sched.enabled() && cfg_.scheme != MemScheme::OramPrefetch;
         auditor_ = std::make_unique<obs::ObliviousnessAuditor>(
             cfg_.audit, num_leaves,
-            sched.enabled() ? sched.period() : Cycles{0}, check_fill);
+            sched.enabled() ? sched.period() : Cycles{0});
         controller_->attachAuditor(auditor_.get());
     }
 

@@ -49,16 +49,6 @@ SystemConfig::validate() const
              "cacheline size must equal ORAM block size (Sec. 5.1)");
     fatal_if(hierarchy.l1.lineBytes != dram.dram.lineBytes,
              "cacheline size must equal DRAM transfer size");
-    // The scheme alone picks the prefetchers (System sets both
-    // fields from it), so a field set against it would be dropped.
-    const char *name = schemeName(scheme);
-    fatal_if(controller.traditionalPrefetcher &&
-                 scheme != MemScheme::OramPrefetch,
-             "SystemConfig::controller.traditionalPrefetcher is set, but ",
-             "scheme ", name, " runs no stream prefetcher (oram_pre does)");
-    fatal_if(dram.prefetch && scheme != MemScheme::DramPrefetch,
-             "SystemConfig::dram.prefetch is set, but scheme ", name,
-             " runs no stream prefetcher (dram_pre does)");
     oram.validate();
 }
 

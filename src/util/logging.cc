@@ -44,10 +44,4 @@ warnImpl(const char *file, int line, const std::string &msg)
     std::cerr << locate(file, line, "warn", msg) << "\n";
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::cout << "info: " << msg << "\n";
-}
-
 } // namespace proram

@@ -1,7 +1,7 @@
 /**
  * @file
  * gem5-style status/error reporting: panic() for simulator bugs,
- * fatal() for user/configuration errors, warn()/inform() for status.
+ * fatal() for user/configuration errors, warn() for status.
  */
 
 #ifndef PRORAM_UTIL_LOGGING_HH
@@ -30,9 +30,6 @@ namespace proram
 
 /** Print a warning about questionable but survivable conditions. */
 void warnImpl(const char *file, int line, const std::string &msg);
-
-/** Print an informational status message. */
-void informImpl(const std::string &msg);
 
 /** Thrown by panic(): an internal invariant was violated. */
 class SimPanic : public std::exception

@@ -432,10 +432,11 @@ TEST(DynamicPolicy, IntegrityUnderRandomChurn)
         // Randomly toggle neighbour residency to exercise both paths.
         f.llc.resident.clear();
         if (rng.chance(0.5)) {
-            const BlockId nb = sbNeighborBase(
-                sbBase(b, f.sbSize(b)), f.sbSize(b));
-            for (std::uint32_t k = 0; k < f.sbSize(b); ++k)
-                f.llc.resident.insert(nb + k);
+            const std::uint32_t n = f.sbSize(b);
+            const BlockId nb = sbNeighborBaseStrided(
+                sbBaseStrided(b, n, 0), n, 0);
+            for (BlockId m : sbMembersStrided(nb, n, 0))
+                f.llc.resident.insert(m);
         }
         f.access(b, rng.chance(0.2));
         if (rng.chance(0.3))

@@ -42,7 +42,9 @@ struct Fixture
                      OramConfig ocfg = ctlCfg())
         : hier(hierCfg()), ctl(ocfg, ccfg, hier)
     {
-        if (scheme == MemScheme::OramStatic)
+        if (scheme == MemScheme::OramPrefetch)
+            ctl.configurePrefetch();
+        else if (scheme == MemScheme::OramStatic)
             ctl.configureStatic(2);
         else if (scheme == MemScheme::OramDynamic)
             ctl.configureDynamic(DynamicPolicyConfig{});
@@ -212,9 +214,7 @@ TEST(Controller, PeriodicDummiesAreFunctional)
 
 TEST(Controller, TraditionalPrefetcherIssuesOramAccesses)
 {
-    ControllerConfig ccfg;
-    ccfg.traditionalPrefetcher = true;
-    Fixture f(MemScheme::OramBaseline, ccfg);
+    Fixture f(MemScheme::OramPrefetch);
     Cycles t{0};
     for (std::uint64_t i = 100; i < 110; ++i) {
         const BlockId b{i};

@@ -13,70 +13,75 @@ namespace
 
 using namespace proram::literals;
 
+// Stride 0 (stride_log = 0) is the paper's contiguous super block
+// (Sec. 3.2); these cases pin that geometry through the strided
+// helpers, the only ones the policies use.
+
 TEST(SuperBlock, BaseAlignment)
 {
-    EXPECT_EQ(sbBase(0_id, 2), 0_id);
-    EXPECT_EQ(sbBase(1_id, 2), 0_id);
-    EXPECT_EQ(sbBase(2_id, 2), 2_id);
-    EXPECT_EQ(sbBase(7_id, 4), 4_id);
-    EXPECT_EQ(sbBase(7_id, 1), 7_id);
+    EXPECT_EQ(sbBaseStrided(0_id, 2, 0), 0_id);
+    EXPECT_EQ(sbBaseStrided(1_id, 2, 0), 0_id);
+    EXPECT_EQ(sbBaseStrided(2_id, 2, 0), 2_id);
+    EXPECT_EQ(sbBaseStrided(7_id, 4, 0), 4_id);
+    EXPECT_EQ(sbBaseStrided(7_id, 1, 0), 7_id);
 }
 
 TEST(SuperBlock, NonPow2SizePanics)
 {
-    EXPECT_THROW(sbBase(0_id, 3), SimPanic);
-    EXPECT_THROW(sbNeighborBase(0_id, 6), SimPanic);
+    EXPECT_THROW(sbBaseStrided(0_id, 3, 0), SimPanic);
+    EXPECT_THROW(sbNeighborBaseStrided(0_id, 6, 0), SimPanic);
 }
 
 TEST(SuperBlock, NeighborBaseXors)
 {
     // Fig. 3: (0x00,0x01) and (0x02,0x03) are neighbours.
-    EXPECT_EQ(sbNeighborBase(0_id, 2), 2_id);
-    EXPECT_EQ(sbNeighborBase(2_id, 2), 0_id);
-    EXPECT_EQ(sbNeighborBase(4_id, 4), 0_id);
-    EXPECT_EQ(sbNeighborBase(0_id, 4), 4_id);
-    EXPECT_EQ(sbNeighborBase(5_id, 1), 4_id);
+    EXPECT_EQ(sbNeighborBaseStrided(0_id, 2, 0), 2_id);
+    EXPECT_EQ(sbNeighborBaseStrided(2_id, 2, 0), 0_id);
+    EXPECT_EQ(sbNeighborBaseStrided(4_id, 4, 0), 0_id);
+    EXPECT_EQ(sbNeighborBaseStrided(0_id, 4, 0), 4_id);
+    EXPECT_EQ(sbNeighborBaseStrided(5_id, 1, 0), 4_id);
 }
 
 TEST(SuperBlock, MisalignedNeighborPanics)
 {
-    EXPECT_THROW(sbNeighborBase(1_id, 2), SimPanic);
+    EXPECT_THROW(sbNeighborBaseStrided(1_id, 2, 0), SimPanic);
 }
 
 TEST(SuperBlock, AreNeighborsMatchesPaperExamples)
 {
     // Block 0x02 is a neighbour of 0x03 (size 1).
-    EXPECT_TRUE(areNeighbors(2_id, 3_id, 1));
+    EXPECT_EQ(sbNeighborBaseStrided(2_id, 1, 0), 3_id);
     // (0x00,0x01) is a neighbour of (0x02,0x03).
-    EXPECT_TRUE(areNeighbors(0_id, 2_id, 2));
+    EXPECT_EQ(sbNeighborBaseStrided(0_id, 2, 0), 2_id);
     // (0x02,0x03) is NOT a neighbour of (0x04,0x05).
-    EXPECT_FALSE(areNeighbors(2_id, 4_id, 2));
+    EXPECT_NE(sbNeighborBaseStrided(2_id, 2, 0), 4_id);
     // 0x03 and 0x04 are not neighbours at size 1 either.
-    EXPECT_FALSE(areNeighbors(3_id, 4_id, 1));
-    // Misaligned inputs are never neighbours.
-    EXPECT_FALSE(areNeighbors(1_id, 2_id, 2));
+    EXPECT_NE(sbNeighborBaseStrided(3_id, 1, 0), 4_id);
+    // A misaligned group has no neighbour.
+    EXPECT_THROW(sbNeighborBaseStrided(1_id, 2, 0), SimPanic);
 }
 
 TEST(SuperBlock, MembersEnumerate)
 {
-    EXPECT_EQ(sbMembers(4_id, 1), (std::vector<BlockId>{4_id}));
-    EXPECT_EQ(sbMembers(4_id, 4), (std::vector<BlockId>{4_id, 5_id, 6_id, 7_id}));
+    EXPECT_EQ(sbMembersStrided(4_id, 1, 0), (std::vector<BlockId>{4_id}));
+    EXPECT_EQ(sbMembersStrided(4_id, 4, 0),
+              (std::vector<BlockId>{4_id, 5_id, 6_id, 7_id}));
 }
 
 TEST(SuperBlock, MergeWithinBoundsChecksDataSpace)
 {
     // 100 data blocks: pair (96..99 size 4 -> 8-aligned pair 96..103)
     // spills past the end.
-    EXPECT_FALSE(mergeWithinBounds(96_id, 4, 100, 32));
-    EXPECT_TRUE(mergeWithinBounds(96_id, 2, 100, 32));
+    EXPECT_FALSE(mergeWithinBoundsStrided(96_id, 4, 0, 100, 32));
+    EXPECT_TRUE(mergeWithinBoundsStrided(96_id, 2, 0, 100, 32));
 }
 
 TEST(SuperBlock, MergeWithinBoundsChecksFanout)
 {
     // Merging size-16 blocks creates size 32 == fanout: allowed.
-    EXPECT_TRUE(mergeWithinBounds(0_id, 16, 1024, 32));
+    EXPECT_TRUE(mergeWithinBoundsStrided(0_id, 16, 0, 1024, 32));
     // Creating size 64 > fanout 32: forbidden (Sec. 4.1).
-    EXPECT_FALSE(mergeWithinBounds(0_id, 32, 1024, 32));
+    EXPECT_FALSE(mergeWithinBoundsStrided(0_id, 32, 0, 1024, 32));
 }
 
 TEST(SuperBlock, NeighborhoodIsInvolution)
@@ -84,23 +89,28 @@ TEST(SuperBlock, NeighborhoodIsInvolution)
     for (std::uint32_t size : {1u, 2u, 4u, 8u}) {
         for (std::uint64_t b = 0; b < 64; b += size) {
             const BlockId base{b};
-            EXPECT_EQ(sbNeighborBase(sbNeighborBase(base, size), size),
+            EXPECT_EQ(sbNeighborBaseStrided(
+                          sbNeighborBaseStrided(base, size, 0), size, 0),
                       base);
         }
     }
 }
 
-
 TEST(SuperBlockStrided, Stride0MatchesClassic)
 {
+    // Stride 0 groups consecutive ids: an aligned base and the run of
+    // size blocks from it.
     for (BlockId id : {0_id, 5_id, 13_id, 100_id}) {
         for (std::uint32_t size : {1u, 2u, 4u}) {
-            EXPECT_EQ(sbBaseStrided(id, size, 0), sbBase(id, size));
-            EXPECT_EQ(sbMembersStrided(sbBase(id, size), size, 0),
-                      sbMembers(sbBase(id, size), size));
+            const BlockId base{id.value() / size * size};
+            EXPECT_EQ(sbBaseStrided(id, size, 0), base);
+            std::vector<BlockId> run;
+            for (std::uint32_t i = 0; i < size; ++i)
+                run.push_back(base + i);
+            EXPECT_EQ(sbMembersStrided(base, size, 0), run);
         }
     }
-    EXPECT_EQ(sbNeighborBaseStrided(4_id, 4, 0), sbNeighborBase(4_id, 4));
+    EXPECT_EQ(sbNeighborBaseStrided(4_id, 4, 0), 0_id);
 }
 
 TEST(SuperBlockStrided, BaseClearsStrideField)

@@ -95,8 +95,7 @@ TEST(Hierarchy, L1DirtinessSurvivesLlcEviction)
 TEST(Hierarchy, InsertPrefetchGoesToLlcOnly)
 {
     CacheHierarchy h(smallHier());
-    BlockId clean = kInvalidBlock;
-    h.insertPrefetch(5_id, &clean);
+    h.insertPrefetch(5_id);
     EXPECT_TRUE(h.probeLlc(5_id));
     // First access must be an L2 hit, not L1.
     EXPECT_EQ(h.lookup(5_id, OpType::Read), HitLevel::L2);
@@ -109,11 +108,10 @@ TEST(Hierarchy, InsertPrefetchRefusesDirtyVictim)
     CacheHierarchy h(smallHier());
     h.fillFromMemory(0_id, true);
     h.fillFromMemory(4_id, false);
-    BlockId clean = kInvalidBlock;
-    EXPECT_FALSE(h.insertPrefetch(8_id, &clean));
+    EXPECT_FALSE(h.insertPrefetch(8_id));
     EXPECT_FALSE(h.probeLlc(8_id));
     EXPECT_TRUE(h.probeLlc(0_id)) << "dirty line must stay resident";
-    EXPECT_EQ(clean, kInvalidBlock);
+    EXPECT_TRUE(h.probeLlc(4_id));
 }
 
 TEST(Hierarchy, InsertPrefetchRefusesL1DirtyVictim)
@@ -124,19 +122,20 @@ TEST(Hierarchy, InsertPrefetchRefusesL1DirtyVictim)
     h.fillFromMemory(0_id, false);
     h.lookup(0_id, OpType::Write); // dirty in L1 only
     h.fillFromMemory(4_id, false);
-    BlockId clean = kInvalidBlock;
-    EXPECT_FALSE(h.insertPrefetch(8_id, &clean));
+    EXPECT_FALSE(h.insertPrefetch(8_id));
     EXPECT_TRUE(h.probeLlc(0_id));
 }
 
 TEST(Hierarchy, InsertPrefetchReportsCleanVictim)
 {
+    // With a clean LRU victim the prefetch goes in and the victim,
+    // and only it, leaves the LLC.
     CacheHierarchy h(smallHier());
     h.fillFromMemory(0_id, false);
     h.fillFromMemory(4_id, false);
-    BlockId clean = kInvalidBlock;
-    EXPECT_TRUE(h.insertPrefetch(8_id, &clean));
-    EXPECT_EQ(clean, 0_id);
+    EXPECT_TRUE(h.insertPrefetch(8_id));
+    EXPECT_FALSE(h.probeLlc(0_id));
+    EXPECT_TRUE(h.probeLlc(4_id));
     EXPECT_TRUE(h.probeLlc(8_id));
 }
 
@@ -144,8 +143,7 @@ TEST(Hierarchy, InsertPrefetchResidentIsNoop)
 {
     CacheHierarchy h(smallHier());
     h.fillFromMemory(3_id, true); // dirty
-    BlockId clean = kInvalidBlock;
-    EXPECT_TRUE(h.insertPrefetch(3_id, &clean));
+    EXPECT_TRUE(h.insertPrefetch(3_id));
     // Still dirty: re-inserting must not launder the dirty bit.
     auto dirty = h.drainDirty();
     EXPECT_EQ(dirty.size(), 1u);

@@ -12,13 +12,12 @@ namespace
 using namespace proram::literals;
 
 DramBackendConfig
-cfg(bool prefetch)
+cfg()
 {
     DramBackendConfig c;
     c.dram.latency = Cycles{100};
     c.dram.bytesPerCycle = 16.0;
     c.dram.lineBytes = 128;
-    c.prefetch = prefetch;
     c.prefetcher.degree = 2;
     c.prefetcher.distance = 4;
     c.prefetcher.trainThreshold = 2;
@@ -28,13 +27,13 @@ cfg(bool prefetch)
 
 TEST(DramBackend, DemandLatencyWithoutPrefetch)
 {
-    DramBackend be(cfg(false));
+    DramBackend be(cfg(), /*prefetch=*/false);
     EXPECT_EQ(be.demandAccess(Cycles{0}, 7_id, OpType::Read), Cycles{108});
 }
 
 TEST(DramBackend, WritebackOccupiesBus)
 {
-    DramBackend be(cfg(false));
+    DramBackend be(cfg(), /*prefetch=*/false);
     be.writebackAccess(Cycles{0}, 1_id);
     // The next demand waits for the write transfer on the bus.
     EXPECT_EQ(be.demandAccess(Cycles{0}, 2_id, OpType::Read), Cycles{116});
@@ -42,7 +41,7 @@ TEST(DramBackend, WritebackOccupiesBus)
 
 TEST(DramBackend, SequentialStreamHitsPrefetchBuffer)
 {
-    DramBackend be(cfg(true));
+    DramBackend be(cfg(), /*prefetch=*/true);
     Cycles t{0};
     // Train the stream and run well past the training window.
     for (std::uint64_t i = 0; i < 8; ++i)
@@ -52,8 +51,8 @@ TEST(DramBackend, SequentialStreamHitsPrefetchBuffer)
 
 TEST(DramBackend, PrefetchHitIsFasterThanMiss)
 {
-    DramBackend warm(cfg(true));
-    DramBackend cold(cfg(false));
+    DramBackend warm(cfg(), /*prefetch=*/true);
+    DramBackend cold(cfg(), /*prefetch=*/false);
     Cycles tw{0}, tc{0};
     for (std::uint64_t i = 0; i < 16; ++i) {
         const BlockId b{i};
@@ -67,8 +66,8 @@ TEST(DramBackend, PrefetchHitIsFasterThanMiss)
 
 TEST(DramBackend, RandomStreamUnaffectedByPrefetcher)
 {
-    DramBackend warm(cfg(true));
-    DramBackend cold(cfg(false));
+    DramBackend warm(cfg(), /*prefetch=*/true);
+    DramBackend cold(cfg(), /*prefetch=*/false);
     const BlockId seq[] = {901_id, 17_id, 445_id, 2_id,
                            333_id, 90_id, 761_id, 54_id};
     Cycles tw{0}, tc{0};
@@ -82,7 +81,7 @@ TEST(DramBackend, RandomStreamUnaffectedByPrefetcher)
 
 TEST(DramBackend, MemAccessCountCountsTransfers)
 {
-    DramBackend be(cfg(false));
+    DramBackend be(cfg(), /*prefetch=*/false);
     be.demandAccess(Cycles{0}, 1_id, OpType::Read);
     be.demandAccess(Cycles{200}, 2_id, OpType::Read);
     be.writebackAccess(Cycles{400}, 3_id);
@@ -91,11 +90,11 @@ TEST(DramBackend, MemAccessCountCountsTransfers)
 
 TEST(DramBackend, BufferCapacityBounded)
 {
-    DramBackendConfig c = cfg(true);
+    DramBackendConfig c = cfg();
     c.bufferLines = 2;
     c.prefetcher.degree = 4;
     c.prefetcher.distance = 16;
-    DramBackend be(c);
+    DramBackend be(c, /*prefetch=*/true);
     Cycles t{0};
     for (std::uint64_t i = 0; i < 64; ++i)
         t = be.demandAccess(t + Cycles{10}, BlockId{i}, OpType::Read);

@@ -21,11 +21,10 @@ TEST(Periodic, DisabledModeSerializes)
     auto g2 = s.schedule(Cycles{500}, 2);
     EXPECT_EQ(g2.start, Cycles{1000});
     EXPECT_EQ(g2.completion, Cycles{3000});
-    // Arrives after idle gap: starts immediately, no dummies.
+    // Arrives after idle gap: no dummies, starts immediately.
+    EXPECT_EQ(s.drainDummies(Cycles{10000}), 0u);
     auto g3 = s.schedule(Cycles{10000}, 1);
     EXPECT_EQ(g3.start, Cycles{10000});
-    EXPECT_EQ(g3.elapsedDummies, 0u);
-    EXPECT_EQ(s.totalDummies(), 0u);
 }
 
 TEST(Periodic, EnabledPeriodIsPathPlusOint)
@@ -37,25 +36,35 @@ TEST(Periodic, EnabledPeriodIsPathPlusOint)
 TEST(Periodic, IdleSlotsBecomeDummies)
 {
     PeriodicScheduler s({true, Cycles{100}}, Cycles{1000});
+    EXPECT_EQ(s.drainDummies(Cycles{0}), 0u);
     auto g1 = s.schedule(Cycles{0}, 1);
     EXPECT_EQ(g1.start, Cycles{0});
-    EXPECT_EQ(g1.elapsedDummies, 0u);
     // Next slot is at 1100. Arriving at 5000 means slots 1100, 2200,
     // 3300, 4400 ran dummies; the request takes the 5500 slot.
+    EXPECT_EQ(s.drainDummies(Cycles{5000}), 4u);
     auto g2 = s.schedule(Cycles{5000}, 1);
-    EXPECT_EQ(g2.elapsedDummies, 4u);
     EXPECT_EQ(g2.start, Cycles{5500});
     EXPECT_EQ(g2.completion, Cycles{6500});
-    EXPECT_EQ(s.totalDummies(), 4u);
+}
+
+TEST(Periodic, ScheduleBeforeDrainPanics)
+{
+    // A request must not pass over an idle slot that no dummy filled:
+    // the caller drains up to the arrival first.
+    PeriodicScheduler s({true, Cycles{100}}, Cycles{1000});
+    s.schedule(Cycles{0}, 1);
+    EXPECT_THROW(s.schedule(Cycles{5000}, 1), SimPanic);
+    // An arrival at or before the next slot has nothing to drain.
+    EXPECT_EQ(s.schedule(Cycles{1100}, 1).start, Cycles{1100});
 }
 
 TEST(Periodic, BackToBackRequestsUseConsecutiveSlots)
 {
     PeriodicScheduler s({true, Cycles{100}}, Cycles{1000});
     s.schedule(Cycles{0}, 1);
+    EXPECT_EQ(s.drainDummies(Cycles{0}), 0u);
     auto g2 = s.schedule(Cycles{0}, 1); // queued immediately
     EXPECT_EQ(g2.start, Cycles{1100});
-    EXPECT_EQ(g2.elapsedDummies, 0u);
 }
 
 TEST(Periodic, MultiPathRequestSpansSlots)
@@ -73,9 +82,9 @@ TEST(Periodic, RequestAtExactSlotBoundaryTakesIt)
 {
     PeriodicScheduler s({true, Cycles{100}}, Cycles{1000});
     s.schedule(Cycles{0}, 1);
+    EXPECT_EQ(s.drainDummies(Cycles{1100}), 0u);
     auto g = s.schedule(Cycles{1100}, 1);
     EXPECT_EQ(g.start, Cycles{1100});
-    EXPECT_EQ(g.elapsedDummies, 0u);
 }
 
 TEST(Periodic, DrainCountsTrailingDummies)
@@ -83,7 +92,6 @@ TEST(Periodic, DrainCountsTrailingDummies)
     PeriodicScheduler s({true, Cycles{100}}, Cycles{1000});
     s.schedule(Cycles{0}, 1);
     EXPECT_EQ(s.drainDummies(Cycles{4500}), 4u); // slots 1100..4400
-    EXPECT_EQ(s.totalDummies(), 4u);
     // Draining twice is idempotent for the same time.
     EXPECT_EQ(s.drainDummies(Cycles{4500}), 0u);
 }
@@ -111,13 +119,14 @@ TEST(Periodic, TimingIndependentOfRequestPattern)
     starts_a.push_back(a.schedule(Cycles{0}, 1).start);
     starts_a.push_back(a.schedule(Cycles{1}, 1).start);
     starts_a.push_back(a.schedule(Cycles{2}, 1).start);
-    // Pattern B: spread out; count the dummy slots in between.
+    // Pattern B: spread out; drain the idle slots in between first,
+    // as the controller does before every request.
     starts_b.push_back(b.schedule(Cycles{0}, 1).start);
+    // Slots 550 and 1100 are both before the arrival at 1400, so
+    // both run dummies and the request takes slot 1650.
+    EXPECT_EQ(b.drainDummies(Cycles{1400}), 2u);
     auto g = b.schedule(Cycles{1400}, 1);
-    // Slot 550 ran a dummy; request takes slot 1650... wait: next slot
-    // after 550 is 1100 < 1400 -> also dummy; start = 1650.
     EXPECT_EQ(g.start, Cycles{1650});
-    EXPECT_EQ(g.elapsedDummies, 2u);
     // Access starts in pattern B including dummies: 0, 550, 1100,
     // 1650 - a strict multiple-of-period grid, same as pattern A's
     // grid. Verify A's grid:

@@ -31,20 +31,6 @@ TEST(SecureMemory, RejectsDramSchemes)
     EXPECT_THROW(SecureMemory(memCfg(MemScheme::Dram)), SimFatal);
 }
 
-TEST(SecureMemory, RejectsPrefetcherFieldsAgainstTheScheme)
-{
-    // The facade builds through System, so it rejects the same
-    // configurations: a prefetcher field its scheme would drop.
-    SystemConfig ctl = memCfg(MemScheme::OramBaseline);
-    ctl.controller.traditionalPrefetcher = true;
-    EXPECT_THROW(SecureMemory{ctl}, SimFatal);
-    SystemConfig dram = memCfg(MemScheme::OramDynamic);
-    dram.dram.prefetch = true;
-    EXPECT_THROW(SecureMemory{dram}, SimFatal);
-    ctl.scheme = MemScheme::OramPrefetch;
-    EXPECT_NO_THROW(SecureMemory{ctl});
-}
-
 TEST(SecureMemory, UnwrittenReadsReturnZero)
 {
     SecureMemory mem(memCfg(MemScheme::OramBaseline));

@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <vector>
 
 #include "trace/synthetic.hh"
+#include "trace/trace_file.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -87,40 +88,6 @@ TEST(SystemConfig, ValidateCatchesMismatchedLines)
     EXPECT_THROW(cfg.validate(), SimFatal);
 }
 
-TEST(SystemConfig, PrefetcherFieldsMustAgreeWithTheScheme)
-{
-    // System sets both prefetcher fields from the scheme, so one set
-    // against it would be silently dropped: it is fatal, and the
-    // message names the field and the scheme.
-    const auto fatalMessage = [](const SystemConfig &cfg) {
-        try {
-            System sys(cfg);
-        } catch (const SimFatal &e) {
-            return std::string(e.what());
-        }
-        return std::string();
-    };
-    SystemConfig ctl = smallCfg(MemScheme::OramBaseline);
-    ctl.controller.traditionalPrefetcher = true;
-    const std::string ctl_msg = fatalMessage(ctl);
-    EXPECT_NE(ctl_msg.find("controller.traditionalPrefetcher"),
-              std::string::npos)
-        << ctl_msg;
-    EXPECT_NE(ctl_msg.find("scheme oram "), std::string::npos) << ctl_msg;
-
-    SystemConfig dram = smallCfg(MemScheme::Dram);
-    dram.dram.prefetch = true;
-    const std::string dram_msg = fatalMessage(dram);
-    EXPECT_NE(dram_msg.find("dram.prefetch"), std::string::npos) << dram_msg;
-    EXPECT_NE(dram_msg.find("scheme dram "), std::string::npos) << dram_msg;
-
-    // Set where the scheme runs that prefetcher anyway, they agree.
-    ctl.scheme = MemScheme::OramPrefetch;
-    EXPECT_NO_THROW(System{ctl});
-    dram.scheme = MemScheme::DramPrefetch;
-    EXPECT_NO_THROW(System{dram});
-}
-
 TEST(System, DramSchemeHasNoController)
 {
     System sys(smallCfg(MemScheme::Dram));
@@ -196,6 +163,41 @@ TEST(System, DynamicStatsPopulated)
     EXPECT_GT(res.merges, 0u);
     EXPECT_GT(res.prefetchHits, 0u);
     EXPECT_GT(res.avgStashOccupancy, 0.0);
+}
+
+TEST(System, PeriodicPrefetchesBillEveryIdleSlot)
+{
+    // Fig. 5's oram_pre under Oint 100 on a sequential stream whose
+    // compute gaps leave the ORAM idle for several slots: the stream
+    // prefetcher then issues ORAM requests after idle slots. Every
+    // slot the scheduler passed must have run a dummy path and been
+    // billed, so once the slots are drained up to a cycle past the
+    // last grant, each slot since cycle 0 holds one counted path.
+    // Path ORAM, so that every counted path is one path read.
+    SystemConfig cfg = smallCfg(MemScheme::OramPrefetch);
+    cfg.oram.scheme = SchemeKind::Path;
+    cfg.controller.periodic.enabled = true;
+    cfg.controller.periodic.oInt = Cycles{100};
+    std::vector<TraceRecord> records;
+    for (Addr a = 0; a < 2000 * 128; a += 128)
+        records.push_back(TraceRecord{5000, a, OpType::Read});
+    System sys(cfg);
+    ReplayGenerator gen(records);
+    sys.run(gen);
+
+    OramController &ctl = *sys.controller();
+    const std::uint64_t period = ctl.scheduler().period().value();
+    const Cycles end = ctl.busyUntil() + Cycles{4 * period};
+    ctl.finalize(end);
+    const ControllerStats &cs = ctl.stats();
+    ASSERT_GT(cs.traditionalPrefetches, 0u);
+    const std::uint64_t slots = (end.value() + period - 1) / period;
+    EXPECT_EQ(cs.pathAccesses, slots);
+    EXPECT_EQ(cs.periodicDummies,
+              slots - cs.realRequests - cs.writebacks -
+                  cs.traditionalPrefetches - cs.posMapAccesses -
+                  cs.bgEvictions);
+    EXPECT_EQ(ctl.oram().engine().pathReads(), cs.pathAccesses);
 }
 
 } // namespace
