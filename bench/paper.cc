@@ -8,7 +8,7 @@
  * runs the named figures, or every figure when none is named, as one
  * deduplicated grid. Each figure runs once to record the cells it asks
  * for (its output is dropped), every distinct cell is simulated once
- * on one pool, and each figure runs again to print its tables from
+ * in one grid, and each figure runs again to print its tables from
  * those results. A figure that runs cells ends with its cell count
  * and a digest of their full SimResults, which the golden tables pin
  * (bench/golden/). A last stderr line counts the cells asked for and
@@ -25,7 +25,6 @@
 #include "sim/experiment.hh"
 #include "stats/table.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 using namespace proram;
 
@@ -941,7 +940,7 @@ paperMain(int argc, char **argv)
     // Read every knob before the first cell runs, so a bad value
     // fails fast.
     const Experiment exp(defaultSystemConfig(), benchScaleFromEnv());
-    const unsigned threads = util::ThreadPool::defaultThreadCount();
+    const unsigned threads = benchThreadsFromEnv();
 
     CellReplay cells;
     for (const Figure *f : figures) {

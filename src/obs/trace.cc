@@ -168,7 +168,7 @@ TraceSink::categorySlot(const char *cat)
 
 /*
  * Memory-order notes (validated by the TSan CI job running the
- * TraceConcurrency suite through util::ThreadPool):
+ * TraceConcurrency suite, whose recorders run on several threads):
  *
  *  - `detail::traceEnabled` (macros' fast path) and the enable flips
  *    in setEnabled() are relaxed: the flag carries no payload, so a

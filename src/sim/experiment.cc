@@ -1,13 +1,15 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <fstream>
-#include <future>
+#include <limits>
 #include <mutex>
+#include <thread>
 
 #include "util/env.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace proram
 {
@@ -50,7 +52,7 @@ namespace
 void
 appendMetrics(System &system)
 {
-    // Grid cells run on pool threads, so the append is serialized;
+    // Grid cells run on several threads, so the append is serialized;
     // ordering across cells is scheduling-dependent, which is fine
     // for JSONL (each line is labeled).
     static std::mutex mtx;
@@ -102,26 +104,31 @@ std::vector<SimResult>
 Experiment::runGrid(const std::vector<GridCell> &cells, unsigned threads)
 {
     if (threads == 0)
-        threads = util::ThreadPool::defaultThreadCount();
+        threads = benchThreadsFromEnv();
 
     std::vector<SimResult> results(cells.size());
-    if (threads == 1 || cells.size() <= 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            results[i] = cells[i]();
-        return results;
+    std::vector<std::exception_ptr> errors(cells.size());
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        for (std::size_t i = next++; i < cells.size(); i = next++) {
+            try {
+                results[i] = cells[i]();
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        const std::size_t n = std::min<std::size_t>(threads, cells.size());
+        for (std::size_t t = 1; t < n; ++t)
+            helpers.emplace_back(work);
+        work();
+    } // the helpers join here
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
     }
-
-    util::ThreadPool pool(
-        std::min<std::size_t>(threads, cells.size()));
-    std::vector<std::future<SimResult>> futures;
-    futures.reserve(cells.size());
-    for (const GridCell &cell : cells)
-        futures.push_back(pool.submit(cell));
-    // Collect in submission order: deterministic result layout, and
-    // any cell exception surfaces (from the first failing index) only
-    // after the pool has drained the cells already running.
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        results[i] = futures[i].get();
     return results;
 }
 
@@ -173,6 +180,15 @@ double
 benchScaleFromEnv()
 {
     return env::positive("PRORAM_BENCH_SCALE", 1.0);
+}
+
+unsigned
+benchThreadsFromEnv()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        env::count("PRORAM_BENCH_THREADS", hw == 0 ? 1 : hw,
+                   std::numeric_limits<unsigned>::max()));
 }
 
 } // namespace proram

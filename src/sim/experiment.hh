@@ -86,12 +86,13 @@ class Experiment
     Cell cell(MemScheme scheme, Workload workload) const;
 
     /**
-     * Run every cell and return results in cell order. Cells execute
-     * on @p threads pool workers (0 =
-     * util::ThreadPool::defaultThreadCount()); threads == 1
-     * degenerates to a plain serial loop. Results are bit-identical
-     * either way; a cell's exception is rethrown after in-flight
-     * cells finish.
+     * Run every cell and return results in cell order. The cells run
+     * on min(@p threads, cells) threads, the calling thread included
+     * (0 = benchThreadsFromEnv()); each thread claims the next cell
+     * index in turn, so cells start in index order, and threads == 1
+     * runs them all on the calling thread. Results are bit-identical
+     * at any thread count. Every cell runs even when some throw; the
+     * lowest failing index's exception is then rethrown.
      */
     static std::vector<SimResult> runGrid(const std::vector<GridCell> &cells,
                                           unsigned threads = 0);
@@ -106,7 +107,7 @@ class Experiment
 
 /**
  * Record/replay runner: straight-line code asks for results one cell
- * at a time, yet its cells run together on one runGrid pool. Run the
+ * at a time, yet its cells run together in one runGrid call. Run the
  * code twice. While recording, ask() logs each cell and answers with
  * a placeholder (cycles and memory accesses 1, which the metrics
  * helpers accept). simulate() runs every distinct logged cell once,
@@ -120,7 +121,7 @@ class CellReplay
     const SimResult &ask(const Cell &cell);
 
     /** End the recording: simulate each distinct cell once on
-     *  @p threads workers (0 = the default count). */
+     *  @p threads threads (0 = benchThreadsFromEnv()). */
     void simulate(unsigned threads = 0);
 
     /** Cells asked while recording. */
@@ -142,6 +143,12 @@ double mean(const std::vector<double> &values);
 /** Trace scale from $PRORAM_BENCH_SCALE, default 1.0. The whole value
  *  must parse as a finite number > 0; anything else is fatal. */
 double benchScaleFromEnv();
+
+/** Grid thread count from $PRORAM_BENCH_THREADS, default
+ *  std::thread::hardware_concurrency() (1 when unknown). The whole
+ *  value must parse as an integer in 1..UINT_MAX; anything else is
+ *  fatal. */
+unsigned benchThreadsFromEnv();
 
 } // namespace proram
 

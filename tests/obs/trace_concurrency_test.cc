@@ -1,11 +1,11 @@
 /**
  * @file
- * Concurrency tests for the lock-free ring tracer driven through the
- * util::ThreadPool grid runner - the exact pairing the parallel
- * experiment sweep runs in production. These tests are the workload
- * behind CI's ThreadSanitizer job (ISSUE 5 race analysis); they also
- * run in the normal suites, where the assertions below check the
- * counting invariants that survive concurrency.
+ * Concurrency tests for the lock-free ring tracer, recorded from
+ * several threads at once, as the grid runner's threads record in a
+ * parallel `paper` run. These tests are the workload behind CI's
+ * ThreadSanitizer job; they also run in the normal suites, where the
+ * assertions below check the counting invariants that survive
+ * concurrency.
  *
  * What the tracer guarantees under concurrent record() (and what TSan
  * validates, see obs/trace.cc):
@@ -24,12 +24,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <future>
+#include <thread>
 #include <vector>
-
-#include "util/thread_pool.hh"
 
 #if PRORAM_TRACE_ENABLED
 
@@ -54,6 +51,16 @@ class SinkSession
     }
 };
 
+/** Run @p body(t) on threads t = 0..n-1 at once; join them all. */
+template <typename Body>
+void
+onThreads(unsigned n, const Body &body)
+{
+    std::vector<std::jthread> threads;
+    for (unsigned t = 0; t < n; ++t)
+        threads.emplace_back(body, t);
+}
+
 std::uint64_t
 countFor(const char *cat)
 {
@@ -68,26 +75,18 @@ countFor(const char *cat)
 TEST(TraceConcurrency, PooledRecordersCountEveryEvent)
 {
     SinkSession session;
-    constexpr unsigned kWorkers = 4;
     constexpr std::uint64_t kEventsPerJob = 5000;
     constexpr unsigned kJobs = 8;
 
-    util::ThreadPool pool(kWorkers);
-    std::vector<std::future<void>> done;
-    done.reserve(kJobs);
-    for (unsigned j = 0; j < kJobs; ++j) {
-        done.push_back(pool.submit([j] {
-            for (std::uint64_t i = 0; i < kEventsPerJob; ++i) {
-                PRORAM_TRACE_EVENT("tsan", "tick", "job",
-                                   static_cast<std::uint64_t>(j));
-                {
-                    PRORAM_TRACE_SCOPE_ARG("tsan", "scope", "i", i);
-                }
+    onThreads(kJobs, [](unsigned j) {
+        for (std::uint64_t i = 0; i < kEventsPerJob; ++i) {
+            PRORAM_TRACE_EVENT("tsan", "tick", "job",
+                               static_cast<std::uint64_t>(j));
+            {
+                PRORAM_TRACE_SCOPE_ARG("tsan", "scope", "i", i);
             }
-        }));
-    }
-    for (auto &f : done)
-        f.get();
+        }
+    });
 
     // fetch_add makes the category counters exact whatever the
     // interleaving; the ring itself may have wrapped (that only
@@ -104,27 +103,21 @@ TEST(TraceConcurrency, RecordersRaceEnableFlips)
     // stay <= the attempted total.
     SinkSession session;
     constexpr std::uint64_t kAttempts = 20000;
-    std::atomic<bool> stop{false};
 
-    util::ThreadPool pool(3);
-    auto recorder = [&] {
-        for (std::uint64_t i = 0; i < kAttempts; ++i)
-            PRORAM_TRACE_EVENT("flip", "evt", "i", i);
-    };
-    auto r1 = pool.submit(recorder);
-    auto r2 = pool.submit(recorder);
-    auto toggler = pool.submit([&] {
+    std::jthread toggler([](const std::stop_token &stop) {
         bool on = false;
-        while (!stop.load(std::memory_order_relaxed)) {
+        while (!stop.stop_requested()) {
             obs::TraceSink::setEnabled(on);
             on = !on;
         }
         obs::TraceSink::setEnabled(true);
     });
-    r1.get();
-    r2.get();
-    stop.store(true, std::memory_order_relaxed);
-    toggler.get();
+    onThreads(2, [](unsigned) {
+        for (std::uint64_t i = 0; i < kAttempts; ++i)
+            PRORAM_TRACE_EVENT("flip", "evt", "i", i);
+    });
+    toggler.request_stop();
+    toggler.join();
 
     EXPECT_LE(countFor("flip"), 2 * kAttempts);
 }
@@ -139,19 +132,13 @@ TEST(TraceConcurrency, CategoryRegistryUnderContention)
                                         "ce", "cf", "cg", "ch"};
     constexpr std::uint64_t kPerCat = 500;
 
-    util::ThreadPool pool(4);
-    std::vector<std::future<void>> done;
-    for (unsigned t = 0; t < 4; ++t) {
-        done.push_back(pool.submit([t] {
-            for (std::uint64_t i = 0; i < kPerCat; ++i) {
-                for (const char *cat : kCats)
-                    obs::TraceSink::instance().record(
-                        cat, "evt", 'i', 0, 0, nullptr, t);
-            }
-        }));
-    }
-    for (auto &f : done)
-        f.get();
+    onThreads(4, [](unsigned t) {
+        for (std::uint64_t i = 0; i < kPerCat; ++i) {
+            for (const char *cat : kCats)
+                obs::TraceSink::instance().record(cat, "evt", 'i', 0, 0,
+                                                  nullptr, t);
+        }
+    });
 
     for (const char *cat : kCats)
         EXPECT_EQ(countFor(cat), 4 * kPerCat) << cat;
@@ -170,16 +157,10 @@ TEST(TraceConcurrency, RingWrapUnderContention)
     constexpr unsigned kThreads = 4;
     constexpr std::uint64_t kPerThread = 20000;
 
-    util::ThreadPool pool(kThreads);
-    std::vector<std::future<void>> done;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        done.push_back(pool.submit([] {
-            for (std::uint64_t i = 0; i < kPerThread; ++i)
-                PRORAM_TRACE_EVENT("wrap", "evt", "i", i);
-        }));
-    }
-    for (auto &f : done)
-        f.get();
+    onThreads(kThreads, [](unsigned) {
+        for (std::uint64_t i = 0; i < kPerThread; ++i)
+            PRORAM_TRACE_EVENT("wrap", "evt", "i", i);
+    });
     obs::TraceSink::setEnabled(false);
 
     const std::uint64_t total = kThreads * kPerThread;
@@ -197,17 +178,11 @@ TEST(TraceConcurrency, JsonDumpAfterQuiescePreservesEvents)
 {
     // The sanctioned dump protocol: quiesce recording, then read.
     SinkSession session;
-    util::ThreadPool pool(4);
-    std::vector<std::future<void>> done;
-    for (unsigned t = 0; t < 4; ++t) {
-        done.push_back(pool.submit([] {
-            for (int i = 0; i < 1000; ++i)
-                PRORAM_TRACE_EVENT("dump", "evt", "i",
-                                   static_cast<std::uint64_t>(i));
-        }));
-    }
-    for (auto &f : done)
-        f.get();
+    onThreads(4, [](unsigned) {
+        for (int i = 0; i < 1000; ++i)
+            PRORAM_TRACE_EVENT("dump", "evt", "i",
+                               static_cast<std::uint64_t>(i));
+    });
     obs::TraceSink::setEnabled(false);
 
     const std::string json = obs::TraceSink::instance().json();

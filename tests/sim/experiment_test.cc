@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/trace_file.hh"
@@ -124,6 +128,100 @@ TEST(Experiment, BenchScaleFromEnvParsesStrictly)
         EXPECT_THROW(benchScaleFromEnv(), SimFatal);
     }
     ::unsetenv("PRORAM_BENCH_SCALE");
+}
+
+TEST(Experiment, BenchThreadsFromEnvParsesStrictly)
+{
+    ::setenv("PRORAM_BENCH_THREADS", "3", 1);
+    EXPECT_EQ(benchThreadsFromEnv(), 3u);
+    ::setenv("PRORAM_BENCH_THREADS", "4294967295", 1);
+    EXPECT_EQ(benchThreadsFromEnv(), 4294967295u);
+    ::unsetenv("PRORAM_BENCH_THREADS");
+    EXPECT_GE(benchThreadsFromEnv(), 1u);
+    // The whole value must be a positive integer that fits unsigned.
+    for (const char *bad : {"not-a-number", "4x", "", "0", "-1", "2.5",
+                            "4294967296", "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ::setenv("PRORAM_BENCH_THREADS", bad, 1);
+        EXPECT_THROW(benchThreadsFromEnv(), SimFatal);
+    }
+    ::unsetenv("PRORAM_BENCH_THREADS");
+}
+
+/**
+ * @p n grid cells. Cell i counts its run in @p ran, notes the thread
+ * it ran on in @p ran_on[i] and returns i + 1 cycles. Earlier cells
+ * take longer, so on several threads they finish out of index order.
+ */
+std::vector<Experiment::GridCell>
+countingCells(std::size_t n, std::atomic<std::size_t> &ran,
+              std::vector<std::thread::id> &ran_on)
+{
+    ran_on.assign(n, std::thread::id{});
+    std::vector<Experiment::GridCell> cells;
+    for (std::size_t i = 0; i < n; ++i) {
+        cells.push_back([i, n, &ran, &ran_on] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(n - i));
+            ran_on[i] = std::this_thread::get_id();
+            ++ran;
+            return fake(Cycles{i + 1}, 1);
+        });
+    }
+    return cells;
+}
+
+TEST(Experiment, GridReturnsResultsInCellOrder)
+{
+    constexpr std::size_t kCells = 8;
+    // 0 reads PRORAM_BENCH_THREADS; the last count exceeds the cells.
+    ::setenv("PRORAM_BENCH_THREADS", "1", 1);
+    for (const unsigned threads : {0u, 1u, 3u, 2 * unsigned{kCells}}) {
+        SCOPED_TRACE(threads);
+        std::atomic<std::size_t> ran{0};
+        std::vector<std::thread::id> ran_on;
+        const std::vector<SimResult> results =
+            Experiment::runGrid(countingCells(kCells, ran, ran_on), threads);
+        EXPECT_EQ(ran.load(), kCells);
+        ASSERT_EQ(results.size(), kCells);
+        for (std::size_t i = 0; i < kCells; ++i)
+            EXPECT_EQ(results[i].cycles, Cycles{i + 1}) << "cell " << i;
+        if (threads <= 1) {
+            for (const std::thread::id id : ran_on)
+                EXPECT_EQ(id, std::this_thread::get_id());
+        }
+    }
+    ::unsetenv("PRORAM_BENCH_THREADS");
+}
+
+TEST(Experiment, GridCellExceptionPropagates)
+{
+    // Cells 1 and 4 throw; cell 1 is the slowest, so on several
+    // threads it usually throws second. Every cell still runs, and
+    // the lower index's exception is the one rethrown.
+    constexpr std::size_t kCells = 6;
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        std::atomic<std::size_t> ran{0};
+        std::vector<std::thread::id> ran_on;
+        std::vector<Experiment::GridCell> cells =
+            countingCells(kCells, ran, ran_on);
+        cells[1] = [&ran]() -> SimResult {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            ++ran;
+            throw std::runtime_error("cell 1");
+        };
+        cells[4] = [&ran]() -> SimResult {
+            ++ran;
+            throw std::runtime_error("cell 4");
+        };
+        try {
+            Experiment::runGrid(cells, threads);
+            ADD_FAILURE() << "runGrid returned";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "cell 1");
+        }
+        EXPECT_EQ(ran.load(), kCells);
+    }
 }
 
 /** Three cheap, pairwise different cells. */

@@ -292,7 +292,7 @@ knob()
 
     def test_fires_outside_the_reader(self):
         for subdir, filename in (("src/sim", "system.cc"),
-                                 ("src/util", "thread_pool.cc"),
+                                 ("src/util", "logging.cc"),
                                  ("src/obs", "env.cc")):
             with self.subTest(path=f"{subdir}/{filename}"):
                 diags = self.lint_as(subdir, filename)
