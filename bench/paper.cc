@@ -10,7 +10,7 @@
  * for (its output is dropped), every distinct cell is simulated once
  * in one grid, and each figure runs again to print its tables from
  * those results. A figure that runs cells ends with its cell count
- * and a digest of their full SimResults, which the golden tables pin
+ * and a digest of their SimResults, which the golden tables pin
  * (bench/golden/). A last stderr line counts the cells asked for and
  * the cells simulated.
  */
@@ -42,7 +42,9 @@ struct Page
 
     std::string out{};
     std::size_t asked = 0;
-    /** 64-bit FNV-1a over every asked cell's SimResult. */
+    /** 64-bit FNV-1a over every asked cell's SimResult. The field
+     *  list is the golden byte order: a counter SimResult gains
+     *  stays out of it. */
     std::uint64_t digest = 0xcbf29ce484222325ULL;
 
     /** @p cell's result; folds it into the digest. */
@@ -261,7 +263,7 @@ fig06b(Page &p)
             .add(name)
             .addPct(metrics::speedup(oram, res))
             .add(metrics::normMemAccesses(oram, res), 3)
-            .add(res.prefetchMissRate(), 3)
+            .add(res.missRate(), 3)
             .addInt(res.breaks);
     };
     row("static", p.get(p.exp.cell(MemScheme::OramStatic, s)));
@@ -423,8 +425,8 @@ fig09Suite(Page &p, const char *title,
             continue;
         const auto &stat = p.get(p.exp.cell(MemScheme::OramStatic, prof));
         const auto &dyn = p.get(p.exp.cell(MemScheme::OramDynamic, prof));
-        stat_all.push_back(stat.prefetchMissRate());
-        dyn_all.push_back(dyn.prefetchMissRate());
+        stat_all.push_back(stat.missRate());
+        dyn_all.push_back(dyn.missRate());
         t.row()
             .add(prof.name)
             .add(stat_all.back(), 3)
@@ -768,7 +770,7 @@ ablationThresholds(Page &p)
                 .addPct(metrics::speedup(oram, res))
                 .addInt(res.merges)
                 .addInt(res.breaks)
-                .add(res.prefetchMissRate(), 3);
+                .add(res.missRate(), 3);
         }
         p.table(t);
     }
@@ -874,7 +876,7 @@ extStridedSuperBlocks(Page &p)
                 .addInt(policy_stride_log)
                 .addPct(metrics::speedup(oram, dyn))
                 .addInt(dyn.merges)
-                .add(dyn.prefetchMissRate(), 3);
+                .add(dyn.missRate(), 3);
         }
     }
     p.table(t);

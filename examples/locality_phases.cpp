@@ -41,7 +41,7 @@ main()
                     static_cast<unsigned long long>(r.merges),
                     static_cast<unsigned long long>(r.breaks),
                     static_cast<unsigned long long>(r.bgEvictions),
-                    r.prefetchMissRate() * 100.0);
+                    r.missRate() * 100.0);
     };
 
     report(oram);
@@ -63,7 +63,7 @@ main()
                 static_cast<unsigned long long>(no_break.merges),
                 static_cast<unsigned long long>(no_break.breaks),
                 static_cast<unsigned long long>(no_break.bgEvictions),
-                no_break.prefetchMissRate() * 100.0);
+                no_break.missRate() * 100.0);
 
     std::printf("\nspeedup over baseline ORAM: dyn %+.1f%%, "
                 "dyn-without-breaking %+.1f%%\n",

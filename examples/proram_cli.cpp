@@ -11,12 +11,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/trace_file.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 using namespace proram;
@@ -43,6 +45,26 @@ struct Args
     {
         auto it = options.find(key);
         return it == options.end() ? fallback : it->second;
+    }
+
+    /** --@p key as a whole decimal in 1..2^32-1, or @p fallback. */
+    std::uint32_t count(const std::string &key, std::uint32_t fallback) const
+    {
+        auto it = options.find(key);
+        if (it == options.end())
+            return fallback;
+        return static_cast<std::uint32_t>(env::parseCount(
+            ("--" + key).c_str(), it->second.c_str(),
+            std::numeric_limits<std::uint32_t>::max()));
+    }
+
+    /** --scale as a finite number > 0, or 1. */
+    double scale() const
+    {
+        auto it = options.find("scale");
+        return it == options.end()
+                   ? 1.0
+                   : env::parsePositive("--scale", it->second.c_str());
     }
 };
 
@@ -97,8 +119,7 @@ cmdRecord(const Args &args)
 {
     const std::string out = args.get("out");
     fatal_if(out.empty(), "record needs --out <file>");
-    const double scale = std::atof(args.get("scale", "1.0").c_str());
-    auto gen = makeSource(args, scale > 0 ? scale : 1.0);
+    auto gen = makeSource(args, args.scale());
     const std::uint64_t n = writeTraceFile(*gen, out);
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(n), out.c_str());
@@ -115,20 +136,12 @@ cmdRun(const Args &args)
 
     SystemConfig cfg = defaultSystemConfig();
     cfg.scheme = it->second;
-    if (const std::string z = args.get("z"); !z.empty())
-        cfg.oram.z = static_cast<std::uint32_t>(std::atoi(z.c_str()));
-    if (const std::string st = args.get("stash"); !st.empty()) {
-        cfg.oram.stashCapacity =
-            static_cast<std::uint32_t>(std::atoi(st.c_str()));
-    }
-    if (const std::string sb = args.get("sbsize"); !sb.empty()) {
-        cfg.staticSbSize =
-            static_cast<std::uint32_t>(std::atoi(sb.c_str()));
-        cfg.dynamic.maxSbSize = cfg.staticSbSize;
-    }
+    cfg.oram.z = args.count("z", cfg.oram.z);
+    cfg.oram.stashCapacity = args.count("stash", cfg.oram.stashCapacity);
+    cfg.staticSbSize = args.count("sbsize", cfg.staticSbSize);
+    cfg.dynamic.maxSbSize = args.count("sbsize", cfg.dynamic.maxSbSize);
 
-    const double scale = std::atof(args.get("scale", "1.0").c_str());
-    auto gen = makeSource(args, scale > 0 ? scale : 1.0);
+    auto gen = makeSource(args, args.scale());
 
     System sys(cfg);
     const SimResult res = sys.run(*gen);
@@ -148,7 +161,7 @@ cmdRun(const Args &args)
                     static_cast<unsigned long long>(res.bgEvictions),
                     static_cast<unsigned long long>(res.merges),
                     static_cast<unsigned long long>(res.breaks),
-                    res.prefetchMissRate());
+                    res.missRate());
     }
     if (args.get("stats") == "1" || args.get("stats") == "true")
         std::printf("\n%s", sys.dumpStats().c_str());

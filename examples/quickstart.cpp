@@ -63,7 +63,7 @@ main()
                 static_cast<unsigned long long>(s.breaks));
     std::printf("prefetch hits:       %llu (miss rate %.1f%%)\n",
                 static_cast<unsigned long long>(s.prefetchHits),
-                s.prefetchMissRate() * 100.0);
+                s.missRate() * 100.0);
     std::printf("avg stash occupancy: %.1f blocks\n",
                 s.avgStashOccupancy);
 

@@ -293,44 +293,13 @@ OramController::memAccessCount() const
 stats::StatGroup
 OramController::buildStatGroup() const
 {
+    panic_if(!policy_, "controller used before configure*()");
     stats::StatGroup g("oram_controller");
-    auto scalar = [&](const char *name, const char *desc,
-                      const std::uint64_t &field) {
-        const std::uint64_t *p = &field;
-        g.addValue(name, desc,
-                   [p] { return static_cast<double>(*p); });
-    };
-    scalar("realRequests", "demand misses served", stats_.realRequests);
-    scalar("writebacks", "dirty-victim ORAM accesses",
-           stats_.writebacks);
-    scalar("pathAccesses", "total tree paths read+written",
-           stats_.pathAccesses);
-    scalar("posMapAccesses", "paths spent on PLB misses",
-           stats_.posMapAccesses);
-    scalar("bgEvictions", "background-eviction paths",
-           stats_.bgEvictions);
-    scalar("periodicDummies", "timing-protection dummy accesses",
-           stats_.periodicDummies);
-    scalar("traditionalPrefetches", "stream-prefetcher ORAM accesses",
-           stats_.traditionalPrefetches);
-
-    const SuperBlockPolicy *pol = policy_.get();
-    g.addValue("merges", "super blocks merged (Alg. 1)", [pol] {
-        return pol ? static_cast<double>(pol->policyStats().merges)
-                   : 0.0;
-    });
-    g.addValue("breaks", "super blocks broken (Alg. 2)", [pol] {
-        return pol ? static_cast<double>(pol->policyStats().breaks)
-                   : 0.0;
-    });
-    g.addValue("prefetchHits", "super-block prefetches used", [pol] {
-        return pol
-                   ? static_cast<double>(pol->policyStats().prefetchHits)
-                   : 0.0;
-    });
+    stats::addFields(g, kControllerStatFields, &stats_);
+    const PolicyStats *ps = &policy_->policyStats();
+    stats::addFields(g, kPolicyStatFields, ps);
     g.addValue("prefetchMissRate", "unused / issued prefetches",
-               [pol] { return pol ? pol->policyStats().missRate()
-                                  : 0.0; });
+               [ps] { return ps->missRate(); });
 
     const UnifiedOram *o = &oram_;
     g.addValue("stashOccupancyAvg", "mean stash blocks per access",
@@ -344,26 +313,8 @@ OramController::buildStatGroup() const
 
     // Per-scheme protocol counters (zero under Path ORAM): Ring's
     // bucket-granular read traffic and its decoupled write schedule.
-    g.addValue("ringBucketReads",
-               "modeled single-block bucket reads (ring scheme)", [o] {
-                   return static_cast<double>(
-                       o->engine().schemeCounters().bucketReads);
-               });
-    g.addValue("ringDummyReads",
-               "bucket reads that returned a dummy (ring scheme)", [o] {
-                   return static_cast<double>(
-                       o->engine().schemeCounters().dummyReads);
-               });
-    g.addValue("ringEarlyReshuffles",
-               "buckets reshuffled on an exhausted read budget", [o] {
-                   return static_cast<double>(
-                       o->engine().schemeCounters().earlyReshuffles);
-               });
-    g.addValue("ringScheduledEvictions",
-               "reverse-lexicographic eviction passes run", [o] {
-                   return static_cast<double>(
-                       o->engine().schemeCounters().scheduledEvictions);
-               });
+    stats::addFields(g, kSchemeCounterFields,
+                     &oram_.engine().schemeCounters());
 
     // Tree-storage materialization telemetry (DESIGN.md Sec. 12):
     // memory cost as a first-class metric next to the path counters.

@@ -51,16 +51,33 @@ struct ControllerConfig
     bool operator==(const ControllerConfig &) const = default;
 };
 
-/** Counters the experiment harness reads after a run. */
+/** Counters the experiment harness reads after a run;
+ *  kControllerStatFields names and describes each. */
 struct ControllerStats
 {
-    std::uint64_t realRequests = 0;   ///< demand misses served
-    std::uint64_t writebacks = 0;     ///< dirty-victim accesses
-    std::uint64_t pathAccesses = 0;   ///< total tree paths touched
-    std::uint64_t posMapAccesses = 0; ///< paths spent on PLB misses
-    std::uint64_t bgEvictions = 0;    ///< background-eviction paths
+    std::uint64_t realRequests = 0;
+    std::uint64_t writebacks = 0;
+    std::uint64_t pathAccesses = 0;
+    std::uint64_t posMapAccesses = 0;
+    std::uint64_t bgEvictions = 0;
     std::uint64_t periodicDummies = 0;
     std::uint64_t traditionalPrefetches = 0;
+};
+
+/** The controller stat group's view of ControllerStats. */
+inline constexpr stats::Field<ControllerStats> kControllerStatFields[] = {
+    {"realRequests", "demand misses served", &ControllerStats::realRequests},
+    {"writebacks", "dirty-victim ORAM accesses", &ControllerStats::writebacks},
+    {"pathAccesses", "total tree paths read+written",
+     &ControllerStats::pathAccesses},
+    {"posMapAccesses", "paths spent on PLB misses",
+     &ControllerStats::posMapAccesses},
+    {"bgEvictions", "background-eviction paths",
+     &ControllerStats::bgEvictions},
+    {"periodicDummies", "timing-protection dummy accesses",
+     &ControllerStats::periodicDummies},
+    {"traditionalPrefetches", "stream-prefetcher ORAM accesses",
+     &ControllerStats::traditionalPrefetches},
 };
 
 /**

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "oram/unified_oram.hh"
+#include "stats/stats.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -50,6 +51,14 @@ struct PolicyStats
         return total == 0 ? 0.0
                           : static_cast<double>(prefetchMisses) / total;
     }
+};
+
+/** The PolicyStats counters the controller's stat group shows. */
+inline constexpr stats::Field<PolicyStats> kPolicyStatFields[] = {
+    {"merges", "super blocks merged (Alg. 1)", &PolicyStats::merges},
+    {"breaks", "super blocks broken (Alg. 2)", &PolicyStats::breaks},
+    {"prefetchHits", "super-block prefetches used",
+     &PolicyStats::prefetchHits},
 };
 
 /**

@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "stats/stats.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -90,9 +89,9 @@ class SetAssocCache
     /** Dirty state of a resident line, nullopt if absent. */
     std::optional<bool> peekDirty(BlockId block) const;
 
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t dirtyEvictions() const { return dirtyEvictions_.value(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t dirtyEvictions() const { return dirtyEvictions_; }
 
     const CacheConfig &config() const { return cfg_; }
 
@@ -117,9 +116,9 @@ class SetAssocCache
     std::vector<Line> lines_;
     std::uint64_t lruClock_ = 0;
 
-    stats::Counter hits_;
-    stats::Counter misses_;
-    stats::Counter dirtyEvictions_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t dirtyEvictions_ = 0;
 };
 
 } // namespace proram

@@ -12,7 +12,6 @@
 #ifndef PRORAM_MEM_DRAM_HH
 #define PRORAM_MEM_DRAM_HH
 
-#include "stats/stats.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -53,13 +52,13 @@ class DramModel
     /** Fixed portion of the access latency. */
     Cycles latency() const { return cfg_.latency; }
 
-    std::uint64_t numTransfers() const { return transfers_.value(); }
+    std::uint64_t numTransfers() const { return transfers_; }
 
   private:
     DramConfig cfg_;
     Cycles transferCycles_;
     Cycles busFreeAt_{0};
-    stats::Counter transfers_;
+    std::uint64_t transfers_ = 0;
 };
 
 } // namespace proram

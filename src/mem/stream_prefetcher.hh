@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/stats.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -54,8 +53,8 @@ class StreamPrefetcher
      */
     std::vector<BlockId> observe(BlockId block);
 
-    std::uint64_t issued() const { return issued_.value(); }
-    std::uint64_t streamsTrained() const { return trained_.value(); }
+    std::uint64_t issued() const { return issued_; }
+    std::uint64_t streamsTrained() const { return trained_; }
 
   private:
     struct Stream
@@ -78,8 +77,8 @@ class StreamPrefetcher
     std::vector<Stream> streams_;
     std::uint64_t lruClock_ = 0;
 
-    stats::Counter issued_;
-    stats::Counter trained_;
+    std::uint64_t issued_ = 0;
+    std::uint64_t trained_ = 0;
 };
 
 } // namespace proram

@@ -28,7 +28,7 @@ RingOram::evictionLeafAt(std::uint64_t g) const
 Leaf
 RingOram::nextEvictionLeaf()
 {
-    const Leaf leaf = evictionLeafAt(evictionSeq_++);
+    const Leaf leaf = evictionLeafAt(counters_.scheduledEvictions++);
     if (evictionObserver_)
         evictionObserver_(leaf);
     return leaf;
@@ -46,13 +46,13 @@ RingOram::noteBucketRead(TreeIdx node, std::uint32_t extracted)
     // bucket granularity (the intra-bucket permutation is not modeled
     // - see ring_oram.hh).
     const std::uint32_t reads = extracted > 1 ? extracted : 1;
-    bucketReads_ += reads;
+    counters_.bucketReads += reads;
     if (extracted == 0)
-        ++dummyReads_;
+        ++counters_.dummyReads;
     const std::uint32_t count = readCount_[node.value()] + reads;
     if (count >= s_) {
         readCount_[node.value()] = 0;
-        ++earlyReshuffles_;
+        ++counters_.earlyReshuffles;
     } else {
         readCount_[node.value()] =
             static_cast<std::uint8_t>(count < 255 ? count : 255);
@@ -134,17 +134,6 @@ RingOram::dummyAccess()
     // by construction.
     PRORAM_TRACE_SCOPE("dummy", "ringBgEvict");
     return runScheduledEviction();
-}
-
-SchemeCounters
-RingOram::schemeCounters() const
-{
-    SchemeCounters c;
-    c.bucketReads = bucketReads_.value();
-    c.dummyReads = dummyReads_.value();
-    c.earlyReshuffles = earlyReshuffles_.value();
-    c.scheduledEvictions = evictionSeq_;
-    return c;
 }
 
 } // namespace proram

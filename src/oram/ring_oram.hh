@@ -65,7 +65,7 @@ class RingOram final : public OramScheme
      */
     Leaf dummyAccess() override;
 
-    SchemeCounters schemeCounters() const override;
+    const SchemeCounters &schemeCounters() const override { return counters_; }
 
     /** @name Ring parameters and schedule introspection (tests). @{ */
     std::uint32_t ringS() const { return s_; }
@@ -76,7 +76,7 @@ class RingOram final : public OramScheme
         return readCount_[node.value()];
     }
     /** Scheduled evictions run so far (the schedule position g). */
-    std::uint64_t evictionsRun() const { return evictionSeq_; }
+    std::uint64_t evictionsRun() const { return counters_.scheduledEvictions; }
     /** The leaf the @p g -th scheduled eviction writes. */
     Leaf evictionLeafAt(std::uint64_t g) const;
     /** @} */
@@ -102,13 +102,9 @@ class RingOram final : public OramScheme
     std::vector<std::uint8_t> readCount_;
     /** Accesses since construction (schedules evictions mod A). */
     std::uint64_t accessSeq_ = 0;
-    /** Scheduled evictions run (the reverse-lex counter g). */
-    std::uint64_t evictionSeq_ = 0;
-
-    // Traffic counters (schemeCounters()).
-    stats::Counter bucketReads_;
-    stats::Counter dummyReads_;
-    stats::Counter earlyReshuffles_;
+    /** Traffic counters; scheduledEvictions is the reverse-lex
+     *  schedule position g. */
+    SchemeCounters counters_;
 };
 
 } // namespace proram

@@ -59,6 +59,13 @@ OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
 
 OramScheme::~OramScheme() = default;
 
+const SchemeCounters &
+OramScheme::schemeCounters() const
+{
+    static const SchemeCounters none;
+    return none;
+}
+
 void
 OramScheme::reserveScratch(std::size_t slots)
 {

@@ -26,6 +26,7 @@
 #include "oram/position_map.hh"
 #include "oram/stash.hh"
 #include "oram/tree.hh"
+#include "stats/stats.hh"
 #include "util/random.hh"
 
 namespace proram
@@ -33,17 +34,25 @@ namespace proram
 
 /** Protocol-specific traffic counters (all zero for Path ORAM, whose
  *  bucket traffic is fully described by pathReads()). Monotonic;
- *  sampled by the controller's stat group. */
+ *  kSchemeCounterFields names and describes each. */
 struct SchemeCounters
 {
-    /** Modeled one-block bucket reads (Ring: one per path bucket). */
     std::uint64_t bucketReads = 0;
-    /** Bucket reads that returned no block of interest (dummy reads). */
     std::uint64_t dummyReads = 0;
-    /** Buckets early-reshuffled after S reads since the last shuffle. */
     std::uint64_t earlyReshuffles = 0;
-    /** Deterministic reverse-lexicographic eviction passes. */
     std::uint64_t scheduledEvictions = 0;
+};
+
+/** The controller stat group's view of SchemeCounters. */
+inline constexpr stats::Field<SchemeCounters> kSchemeCounterFields[] = {
+    {"ringBucketReads", "modeled single-block bucket reads (ring scheme)",
+     &SchemeCounters::bucketReads},
+    {"ringDummyReads", "bucket reads that returned a dummy (ring scheme)",
+     &SchemeCounters::dummyReads},
+    {"ringEarlyReshuffles", "buckets reshuffled on an exhausted read budget",
+     &SchemeCounters::earlyReshuffles},
+    {"ringScheduledEvictions", "reverse-lexicographic eviction passes run",
+     &SchemeCounters::scheduledEvictions},
 };
 
 /**
@@ -105,7 +114,7 @@ class OramScheme
     virtual Leaf dummyAccess() = 0;
 
     /** Protocol-specific traffic counters (zeros for Path ORAM). */
-    virtual SchemeCounters schemeCounters() const { return {}; }
+    virtual const SchemeCounters &schemeCounters() const;
 
     /** @name Geometry (delegates to the shared tree). @{ */
     TreeIdx nodeOnPath(Leaf leaf, Level level) const
@@ -153,7 +162,7 @@ class OramScheme
     const Stash &stash() const { return stash_; }
     PositionMap &posMap() { return posMap_; }
 
-    std::uint64_t pathReads() const { return pathReads_.value(); }
+    std::uint64_t pathReads() const { return pathReads_; }
 
   protected:
     /**
@@ -191,7 +200,7 @@ class OramScheme
     BinaryTree tree_;
     Stash stash_;
     Rng rng_;
-    stats::Counter pathReads_;
+    std::uint64_t pathReads_ = 0;
     /** Auditor hook; empty (and never called) unless auditing. */
     std::function<void(Leaf)> evictionObserver_;
 

@@ -107,21 +107,18 @@ System::result(const CpuRunResult &cpu) const
     res.cycles = cpu.cycles;
     res.references = cpu.references;
     res.llcMisses = cpu.llcMisses;
-    res.writebacks = cpu.writebacks;
     res.memAccesses = backend_->memAccessCount();
-    if (!controller_)
+    if (!controller_) {
+        res.writebacks = cpu.writebacks;
         return res;
+    }
 
-    const ControllerStats &cs = controller_->stats();
-    const PolicyStats &ps = controller_->policyStats();
-    res.pathAccesses = cs.pathAccesses;
-    res.posMapAccesses = cs.posMapAccesses;
-    res.bgEvictions = cs.bgEvictions;
-    res.periodicDummies = cs.periodicDummies;
-    res.prefetchHits = ps.prefetchHits;
-    res.prefetchMisses = ps.prefetchMisses;
-    res.merges = ps.merges;
-    res.breaks = ps.breaks;
+    static_cast<ControllerStats &>(res) = controller_->stats();
+    static_cast<PolicyStats &>(res) = controller_->policyStats();
+    // Each LLC write-back is one controller request.
+    panic_if(res.writebacks != cpu.writebacks, "the controller served ",
+             res.writebacks, " write-backs, the core issued ",
+             cpu.writebacks);
     res.avgStashOccupancy =
         controller_->oram().engine().stash().occupancy().mean();
 

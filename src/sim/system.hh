@@ -19,36 +19,20 @@
 namespace proram
 {
 
-/** Everything a figure needs from one simulation run. */
-struct SimResult
+/**
+ * Everything a figure needs from one simulation run: the controller's
+ * and the policy's counters, plus the core's counts. Under a DRAM
+ * scheme the two structs stay zero but for writebacks, the core's.
+ */
+struct SimResult : ControllerStats, PolicyStats
 {
     std::string scheme;
     Cycles cycles{0};
     std::uint64_t references = 0;
     std::uint64_t llcMisses = 0;
-    std::uint64_t writebacks = 0;
-
     /** Total memory-subsystem accesses (ORAM paths / DRAM lines). */
     std::uint64_t memAccesses = 0;
-
-    // ORAM-only detail (zero for DRAM schemes).
-    std::uint64_t pathAccesses = 0;
-    std::uint64_t posMapAccesses = 0;
-    std::uint64_t bgEvictions = 0;
-    std::uint64_t periodicDummies = 0;
-    std::uint64_t prefetchHits = 0;
-    std::uint64_t prefetchMisses = 0;
-    std::uint64_t merges = 0;
-    std::uint64_t breaks = 0;
     double avgStashOccupancy = 0.0;
-
-    double prefetchMissRate() const
-    {
-        const std::uint64_t total = prefetchHits + prefetchMisses;
-        return total == 0
-                   ? 0.0
-                   : static_cast<double>(prefetchMisses) / total;
-    }
 };
 
 /**

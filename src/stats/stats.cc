@@ -133,15 +133,6 @@ LogHistogram::reset()
 }
 
 void
-StatGroup::addScalar(const std::string &name, const std::string &desc,
-                     const Counter &c)
-{
-    const Counter *ptr = &c;
-    entries_.push_back(
-        {name, desc, [ptr] { return static_cast<double>(ptr->value()); }});
-}
-
-void
 StatGroup::addValue(const std::string &name, const std::string &desc,
                     std::function<double()> fn)
 {

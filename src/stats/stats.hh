@@ -1,8 +1,9 @@
 /**
  * @file
- * Minimal gem5-flavoured statistics package: named scalar counters,
- * distributions, and formulas, registered into a StatGroup that can be
- * dumped as text.
+ * Minimal gem5-flavoured statistics package: distributions,
+ * histograms, and named values registered into a StatGroup that can
+ * be dumped as text. Counters are plain std::uint64_t members of a
+ * component's stats struct, named once in a Field list beside it.
  */
 
 #ifndef PRORAM_STATS_STATS_HH
@@ -15,22 +16,6 @@
 
 namespace proram::stats
 {
-
-/** A monotonically growing scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * A sampled distribution: tracks count, sum, min, max and mean.
@@ -126,8 +111,6 @@ class StatGroup
   public:
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
-    void addScalar(const std::string &name, const std::string &desc,
-                   const Counter &c);
     void addValue(const std::string &name, const std::string &desc,
                   std::function<double()> fn);
 
@@ -149,6 +132,29 @@ class StatGroup
     std::string name_;
     std::vector<StatEntry> entries_;
 };
+
+/** One counter of stats struct @p S: its stat name, description and
+ *  member. */
+template <typename S>
+struct Field
+{
+    const char *name;
+    const char *desc;
+    std::uint64_t S::*member;
+};
+
+/** Register each of @p fields in @p g, read live from @p *s (which
+ *  must outlive the group). */
+template <typename S, std::size_t N>
+void
+addFields(StatGroup &g, const Field<S> (&fields)[N], const S *s)
+{
+    for (const Field<S> &f : fields) {
+        g.addValue(f.name, f.desc, [s, m = f.member] {
+            return static_cast<double>(s->*m);
+        });
+    }
+}
 
 } // namespace proram::stats
 

@@ -80,27 +80,35 @@ std::uint64_t
 count(const char *name, std::uint64_t fallback, std::uint64_t max)
 {
     const char *value = get(name);
-    if (value == nullptr)
-        return fallback;
-    const char *end = value + std::strlen(value);
-    std::uint64_t n = 0;
-    const auto [stop, ec] = std::from_chars(value, end, n);
-    const bool ok = ec == std::errc{} && stop == end && n >= 1 && n <= max;
-    fatal_if(!ok, name, ": invalid value '", value, "' (want 1..", max, ")");
-    return n;
+    return value == nullptr ? fallback : parseCount(name, value, max);
 }
 
 double
 positive(const char *name, double fallback)
 {
     const char *value = get(name);
-    if (value == nullptr)
-        return fallback;
+    return value == nullptr ? fallback : parsePositive(name, value);
+}
+
+std::uint64_t
+parseCount(const char *what, const char *value, std::uint64_t max)
+{
+    const char *end = value + std::strlen(value);
+    std::uint64_t n = 0;
+    const auto [stop, ec] = std::from_chars(value, end, n);
+    const bool ok = ec == std::errc{} && stop == end && n >= 1 && n <= max;
+    fatal_if(!ok, what, ": invalid value '", value, "' (want 1..", max, ")");
+    return n;
+}
+
+double
+parsePositive(const char *what, const char *value)
+{
     const char *end = value + std::strlen(value);
     double x = 0.0;
     const auto [stop, ec] = std::from_chars(value, end, x);
     const bool ok = ec == std::errc{} && stop == end && std::isfinite(x);
-    fatal_if(!ok || x <= 0.0, name, ": invalid value '", value,
+    fatal_if(!ok || x <= 0.0, what, ": invalid value '", value,
              "' (want a finite number > 0)");
     return x;
 }

@@ -34,6 +34,15 @@ std::uint64_t count(const char *name, std::uint64_t fallback,
 double positive(const char *name, double fallback);
 
 /**
+ * The value rules of count() and positive(), for a value from
+ * elsewhere (a command-line flag): a bad @p value is fatal, and the
+ * message names @p what and the value.
+ */
+std::uint64_t parseCount(const char *what, const char *value,
+                         std::uint64_t max);
+double parsePositive(const char *what, const char *value);
+
+/**
  * Fatal unless every `PRORAM_*` entry of @p envp, a null-terminated
  * `environ`-style array of `NAME=value` strings, names a known knob.
  * Other names pass. The first read above runs it on `environ`.

@@ -3,6 +3,8 @@
  * Fixed-seed golden statistics: a fig08-tiny grid (two SPLASH-2
  * profiles x three ORAM schemes at trace scale 0.02) must reproduce
  * the exact scheme statistics captured from the seed implementation.
+ * The captures are Path ORAM's, so the grid sets OramConfig::scheme
+ * to Path and holds whatever PRORAM_SCHEME says.
  *
  * This is the guard for "the memory layout is an optimization, not a
  * behavior change": the dense stash's insertion-ordered iteration,
@@ -70,7 +72,8 @@ expectGolden(const Golden &g, const SimResult &r)
 
 TEST(GoldenStats, Fig08TinyMatchesSeedCapture)
 {
-    const Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    exp.baseConfig().oram.scheme = SchemeKind::Path;
     for (const Golden &g : kGoldens) {
         const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));
         SCOPED_TRACE(std::string(g.profile) + "/" + r.scheme);
@@ -115,6 +118,7 @@ const PeriodicGolden kPeriodicGoldens[] = {
 TEST(GoldenStats, Fig08TinyPeriodicModeMatchesCapture)
 {
     Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
+    exp.baseConfig().oram.scheme = SchemeKind::Path;
     exp.baseConfig().controller.periodic.enabled = true;
     for (const PeriodicGolden &g : kPeriodicGoldens) {
         const SimResult r = run(exp.cell(g.scheme, profileByName(g.profile)));

@@ -90,7 +90,7 @@ TEST(SchemeComparison, BreakingHelpsPhaseChange)
     const auto nb = run(no_break);
     const auto wb = run(with_break);
     EXPECT_GT(wb.breaks, 0u);
-    EXPECT_LE(wb.prefetchMissRate(), nb.prefetchMissRate() + 0.02);
+    EXPECT_LE(wb.missRate(), nb.missRate() + 0.02);
 }
 
 TEST(SchemeComparison, TraditionalPrefetchHelpsDramHurtsOram)

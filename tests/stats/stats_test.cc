@@ -11,18 +11,6 @@ namespace proram::stats
 namespace
 {
 
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    EXPECT_EQ(c.value(), 1u);
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Distribution, TracksMoments)
 {
     Distribution d;
@@ -57,15 +45,33 @@ TEST(Distribution, ResetClearsState)
     EXPECT_DOUBLE_EQ(d.sum(), 0.0);
 }
 
+struct Tally
+{
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+};
+
+constexpr Field<Tally> kTallyFields[] = {
+    {"writes", "blocks written", &Tally::writes},
+    {"reads", "blocks read", &Tally::reads},
+};
+
 TEST(StatGroup, RegistersAndReadsScalars)
 {
-    Counter c;
-    c += 7;
+    Tally t;
+    t.reads = 7;
     StatGroup g("oram");
-    g.addScalar("pathReads", "paths read", c);
-    EXPECT_DOUBLE_EQ(g.get("pathReads"), 7.0);
-    c += 3;
-    EXPECT_DOUBLE_EQ(g.get("pathReads"), 10.0);
+    addFields(g, kTallyFields, &t);
+    ASSERT_EQ(g.entries().size(), 2u);
+    EXPECT_EQ(g.entries()[0].name, "writes");
+    EXPECT_EQ(g.entries()[0].desc, "blocks written");
+    EXPECT_EQ(g.entries()[1].name, "reads");
+    EXPECT_DOUBLE_EQ(g.get("reads"), 7.0);
+    EXPECT_DOUBLE_EQ(g.get("writes"), 0.0);
+    t.reads += 3;
+    t.writes = 2;
+    EXPECT_DOUBLE_EQ(g.get("reads"), 10.0);
+    EXPECT_DOUBLE_EQ(g.get("writes"), 2.0);
 }
 
 TEST(StatGroup, RegistersClosures)
@@ -86,10 +92,8 @@ TEST(StatGroup, UnknownStatPanics)
 
 TEST(StatGroup, DumpContainsNameValueDesc)
 {
-    Counter c;
-    ++c;
     StatGroup g("ctl");
-    g.addScalar("hits", "cache hits", c);
+    g.addValue("hits", "cache hits", [] { return 1.0; });
     const std::string out = g.dump();
     EXPECT_NE(out.find("ctl.hits"), std::string::npos);
     EXPECT_NE(out.find("cache hits"), std::string::npos);
